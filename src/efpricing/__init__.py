@@ -37,7 +37,7 @@ from .pricing import (
     prices_bellman_ford,
     prices_efpm,
 )
-from .verify import EnvyReport, brute_force_max_revenue, check_envy_free
+from .verify import EnvyReport, brute_force_max_revenue, check_envy_free, raisable_consumers
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,7 @@ __all__ = [
     "parse",
     "prices_bellman_ford",
     "prices_efpm",
+    "raisable_consumers",
     "read_instance",
     "read_solution",
     "reorder",

@@ -21,7 +21,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .core import Allocation, ValuationMatrix, build_gap_matrix, reorder
 from .instance import (
@@ -40,7 +39,7 @@ from .pricing import (
     prices_bellman_ford,
     prices_efpm,
 )
-from .verify import check_envy_free
+from .verify import check_envy_free, raisable_consumers
 
 PRICING_METHODS = {
     "efpm": prices_efpm,
@@ -171,6 +170,10 @@ def _check_agreement(outcomes, n, trial):
 
 
 def _summarize(rows: list[BenchTrial], methods: list[str]) -> BenchReport:
+    # Imported here: scipy.stats takes about a second to import, and only
+    # bench needs it.
+    from scipy.stats import t as student_t
+
     summaries = []
     means: dict[tuple[int, str], float] = {}
     sizes = sorted({r.n for r in rows})
@@ -330,10 +333,22 @@ def _cmd_verify(args) -> int:
         print(f"envy: consumer {consumer} gains {gain} by taking item {item}")
     for consumer in report.negative_utility_consumers:
         print(f"negative utility: consumer {consumer} would rather buy nothing")
-    if report.envy_free and failures == 0:
-        print(f"ok: envy-free, revenue {record.revenue}")
-        return 0
-    return 1
+    if not report.envy_free:
+        return 1
+    raisable = raisable_consumers(v, allocation, prices)
+    if len(raisable) == v.n:
+        print("not revenue-maximal: no consumer has zero utility, so every price can rise")
+        failures += 1
+    elif raisable:
+        print(
+            f"not revenue-maximal: {len(raisable)} of {v.n} consumers (first: {raisable[0]}) "
+            "reach no zero-utility consumer along tight arcs, so their prices can rise"
+        )
+        failures += 1
+    if failures:
+        return 1
+    print(f"ok: envy-free and revenue-maximal, revenue {record.revenue}")
+    return 0
 
 
 def _cmd_bench(args) -> int:

@@ -11,6 +11,21 @@ Instance text format:
     line 1:              n
     lines 2 .. n + 1:    n whitespace-separated nonnegative integers
 
+Reading and writing run in numpy and build no Python object per entry.
+:func:`parse` checks the header and the row count on ``splitlines()``,
+reads the body with ``np.loadtxt`` and checks its shape and bounds with
+array operations.  That fast path is taken only for ASCII text without
+blank lines: ``loadtxt`` skips blank lines, and on numpy 2.4 it reads
+some non-ASCII letters as digits (5, U+01FE, 6 reads as 5126).  When
+the fast path is not taken or refuses the body (an unreadable token, a
+ragged row, a negative entry or one above the bound), the per-token loop
+reads the text again.  The loop is the only place that words a
+:class:`ParseError`, and it also accepts what ``int()`` accepts but
+``loadtxt`` does not (``1_000``, non-ASCII digits), so both paths accept
+the same texts with the same values.  :func:`serialize` formats blocks
+of entries as right-aligned digit tables and keeps the bytes after each
+entry's leading padding; the blocks bound its working memory.
+
 Solution files are a single canonical JSON document (sorted keys, no
 spaces, one trailing newline) holding assignment, prices, revenue and
 iterations_used.  Per-phase timings are deliberately not part of the
@@ -20,6 +35,7 @@ record so that repeated solves of one instance are byte-identical.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,11 +100,45 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
     return ValuationMatrix(values)
 
 
+#: Entries formatted per block by :func:`serialize`.  Each entry takes a
+#: few dozen bytes of temporaries, so a block works in about 1 MiB.
+_BLOCK = 1 << 14
+#: 10, 100, ..., 10**18: an entry below 10**k has at most k digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
 def serialize(v: ValuationMatrix) -> str:
     """Render a matrix in the instance text format."""
-    lines = [str(v.n)]
-    lines.extend(" ".join(str(int(x)) for x in row) for row in v.values)
-    return "\n".join(lines) + "\n"
+    return "".join(str(chunk, "ascii") for chunk in _render(v))
+
+
+def _render(v: ValuationMatrix) -> Iterator[bytes | np.ndarray]:
+    """The instance text as consecutive ASCII buffers, one per block.
+
+    Each block becomes a table with one row per entry: the entry's digits
+    right-aligned, then its separator (a newline after the last column, a
+    space elsewhere).  A mask keeps each row's last digits + 1 bytes.
+    """
+    n = v.n
+    flat = v.values.reshape(-1)
+    width = int(np.searchsorted(_POWERS_OF_TEN, flat.max(), side="right")) + 2
+    # keep[k]: the bytes kept of a row whose entry has k + 1 digits.
+    keep = np.arange(width) >= (width - 2 - np.arange(width - 1))[:, np.newaxis]
+    yield f"{n}\n".encode()
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        table = np.empty((block.size, width), dtype=np.uint8)
+        rest = block.copy()
+        quotient = np.empty_like(rest)
+        for col in range(width - 2, -1, -1):
+            np.floor_divide(rest, 10, out=quotient)
+            table[:, col] = rest - quotient * 10
+            rest, quotient = quotient, rest
+        table += ord("0")
+        table[:, -1] = ord(" ")
+        table[(n - 1 - start) % n :: n, -1] = ord("\n")
+        digits = np.searchsorted(_POWERS_OF_TEN, block, side="right")
+        yield table[keep.take(digits, axis=0)]
 
 
 def parse(text: str) -> ValuationMatrix:
@@ -105,6 +155,27 @@ def parse(text: str) -> ValuationMatrix:
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} rows, found {len(body)}")
+    values = _load_body(text, body, n)
+    if values is None:
+        values = _parse_tokens(body, n)
+    return ValuationMatrix(values)
+
+
+def _load_body(text: str, body: list[str], n: int):
+    """The body as an n x n int64 array, or None where the token loop must decide."""
+    if not text.isascii() or not all(line and not line.isspace() for line in body):
+        return None
+    try:
+        values = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if values.shape != (n, n) or values.min() < 0 or values.max() > max_entry_for(n):
+        return None
+    return values
+
+
+def _parse_tokens(body: list[str], n: int) -> np.ndarray:
+    """Read the body token by token, raising the ParseError for the first fault."""
     bound = max_entry_for(n)
     rows = []
     for r, line in enumerate(body):
@@ -126,11 +197,12 @@ def parse(text: str) -> ValuationMatrix:
                 )
             row.append(value)
         rows.append(row)
-    return ValuationMatrix(np.array(rows, dtype=np.int64))
+    return np.array(rows, dtype=np.int64)
 
 
 def write_instance(v: ValuationMatrix, path) -> None:
-    Path(path).write_text(serialize(v))
+    with open(path, "wb") as fh:
+        fh.writelines(_render(v))
 
 
 def read_instance(path) -> ValuationMatrix:

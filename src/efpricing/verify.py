@@ -1,7 +1,8 @@
 """Independent checks for allocations and prices.
 
 Nothing here reuses the solver paths: envy-freeness is checked directly
-against the definition, and the small-instance revenue oracle enumerates
+against the definition, revenue-maximality by a search along the tight
+arcs of the prices' utilities, and the small-instance revenue oracle enumerates
 every allocation and solves each one's stability system by longest-path
 closure over its gap matrix.
 """
@@ -66,6 +67,33 @@ def check_envy_free(v: ValuationMatrix, a: Allocation, p: PriceVector) -> EnvyRe
         violations=violations,
         negative_utility_consumers=negative,
     )
+
+
+def raisable_consumers(v: ValuationMatrix, a: Allocation, p: PriceVector) -> list[int]:
+    """Consumers whose item could be sold at a higher price.
+
+    Assumes p is envy-free for a.  Consumer i is held by consumer k when
+    i likes k's item exactly as much as its own (a tight arc): raising
+    i's price forces raising k's.  A zero-utility consumer cannot pay
+    more, nor can anyone held, through a chain of tight arcs, by one.  A
+    reverse breadth-first search from the zero-utility consumers finds
+    them all; each item enters the frontier once, so the search is
+    O(n^2).  The consumers it never reaches can have their prices raised
+    together without envy or negative utility, so the list is empty
+    exactly when the revenue is the maximum for this allocation.
+    """
+    n = v.n
+    surplus = v.values - p.p[np.newaxis, :]
+    own = surplus[np.arange(n), a.assignment]
+    # holders[j, i]: consumer i likes item j exactly as much as its own.
+    holders = np.ascontiguousarray((surplus == own[:, np.newaxis]).T)
+    reached = own == 0
+    frontier = a.assignment[reached].tolist()
+    while frontier:
+        newly = np.flatnonzero(holders[frontier.pop()] & ~reached)
+        reached[newly] = True
+        frontier.extend(a.assignment[newly].tolist())
+    return np.flatnonzero(~reached).tolist()
 
 
 def brute_force_max_revenue(v: ValuationMatrix) -> int:

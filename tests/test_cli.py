@@ -107,6 +107,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "envy" in out or "negative utility" in out
 
+    def test_zero_prices_are_not_revenue_maximal(self, instance_2x2, tmp_path, capsys):
+        # Envy-free, but every price can rise: the optimal revenue is 5.
+        sol = tmp_path / "sol.json"
+        rec = SolutionRecord(n=2, assignment=[0, 1], prices=[0, 0], revenue=0, iterations_used=0)
+        sol.write_text(rec.to_json())
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 1
+        out = capsys.readouterr().out
+        assert "not revenue-maximal: no consumer has zero utility" in out
+        assert "ok" not in out
+
+    def test_prices_off_the_zero_set_are_not_revenue_maximal(self, tmp_path, capsys):
+        # Consumer 0 has zero utility, but consumer 1 likes item 0 less
+        # than its own, so nothing holds its price down: it can rise from 1 to 3.
+        path = tmp_path / "inst.txt"
+        path.write_text("2\n5 0\n1 3\n")
+        sol = tmp_path / "sol.json"
+        rec = SolutionRecord(n=2, assignment=[0, 1], prices=[5, 1], revenue=6, iterations_used=0)
+        sol.write_text(rec.to_json())
+        assert run_cli("verify", str(path), str(sol)) == 1
+        assert "1 of 2 consumers (first: 1) reach no zero-utility" in capsys.readouterr().out
+
     def test_size_mismatch_is_usage_error(self, instance_2x2, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         rec = SolutionRecord(n=3, assignment=[0, 1, 2], prices=[1, 1, 1], revenue=3, iterations_used=0)

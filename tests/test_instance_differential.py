@@ -1,0 +1,199 @@
+"""The numpy instance reader and writer against per-token reference loops.
+
+``reference_parse`` and ``reference_serialize`` are the reader and writer
+as they were before the I/O layer moved to numpy.  Every text must give
+the same matrix, or a ParseError with the same message, and every matrix
+the same bytes.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from efpricing import ParseError, ValuationMatrix, generate, parse, serialize, write_instance
+from efpricing import instance
+from efpricing.core import max_entry_for
+
+
+def reference_parse(text):
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty instance file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ParseError(f"malformed header, expected an integer: {lines[0]!r}") from None
+    if n < 1:
+        raise ParseError(f"instance size must be >= 1, got {n}")
+    body = lines[1:]
+    if len(body) != n:
+        raise ParseError(f"expected {n} rows, found {len(body)}")
+    bound = max_entry_for(n)
+    rows = []
+    for r, line in enumerate(body):
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ParseError(f"row {r}: expected {n} values, found {len(tokens)}")
+        row = []
+        for c, tok in enumerate(tokens):
+            try:
+                value = int(tok)
+            except ValueError:
+                raise ParseError(f"row {r}, column {c}: non-integer token {tok!r}") from None
+            if value < 0:
+                raise ParseError(f"row {r}, column {c}: valuations must be nonnegative")
+            if value > bound:
+                raise ParseError(
+                    f"row {r}, column {c}: value {value} exceeds the "
+                    f"overflow-safe bound {bound} for n={n}"
+                )
+            row.append(value)
+        rows.append(row)
+    return ValuationMatrix(np.array(rows, dtype=np.int64))
+
+
+def reference_serialize(v):
+    lines = [str(v.n)]
+    lines.extend(" ".join(str(int(x)) for x in row) for row in v.values)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(read, text):
+    try:
+        return "ok", read(text).values.tolist()
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+#: Tokens that int() and np.loadtxt read differently, or that one of them
+#: misreads: U+01FE between digits is read as a digit by loadtxt.
+ODD_TOKENS = [
+    "+5", "-0", "-7", "007", "1_000", "٣", "5Ǿ6", "#5", "1.0", "5,2",
+    "1e3", "0x10", str(2**63), str(2**64 + 5), "-" + str(2**63 + 1),
+]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", "\x1f"]
+MUTATIONS = [
+    "none", "odd token", "over bound", "blank line", "missing row", "extra row",
+    "ragged row", "long row", "hash comment",
+]
+
+
+@st.composite
+def matrices(draw, max_n=6):
+    """A square matrix that includes 0 and max_entry_for(n) often."""
+    n = draw(st.integers(1, max_n))
+    bound = max_entry_for(n)
+    entry = st.one_of(st.sampled_from([0, bound]), st.integers(0, 999), st.integers(0, bound))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def instance_texts(draw):
+    rows = draw(matrices())
+    n = len(rows)
+    tokens = [[str(x) for x in row] for row in rows]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    r = draw(st.integers(0, n - 1))
+    c = draw(st.integers(0, n - 1))
+    if mutation == "odd token":
+        tokens[r][c] = draw(st.sampled_from(ODD_TOKENS))
+    elif mutation == "over bound":
+        tokens[r][c] = str(max_entry_for(n) + draw(st.integers(1, 10)))
+    elif mutation == "ragged row":
+        del tokens[r][c]
+    elif mutation == "long row":
+        tokens[r].append("1")
+    elif mutation == "hash comment":
+        tokens[r].append("#")
+    sep = draw(st.sampled_from(SEPARATORS))
+    body = [sep.join(row) for row in tokens]
+    if mutation == "blank line":
+        body.insert(draw(st.integers(0, n)), draw(st.sampled_from(["", "  ", "\t"])))
+    elif mutation == "missing row":
+        del body[r]
+    elif mutation == "extra row":
+        body.insert(r, sep.join(["1"] * n))
+    breaks = st.sampled_from(LINE_BREAKS)
+    text = str(n)
+    for line in body:
+        text += draw(breaks) + draw(st.sampled_from(["", " "])) + line
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance_texts())
+def test_parse_matches_the_token_loop(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1\n5Ǿ6\n",
+    "2\n1 2\n\n3 4\n",
+    "2\n\n\n",
+    "2\r\n1 2\r\n3 4\r\n",
+    "2\n1\x0b2\n3 4\n",
+    "2\n1 2\x0c3 4\n",
+    "2\n+5 -0\n1_000 ٣\n",
+    "2\n#5 1\n2 3\n",
+    "2\n1 2 # note\n3 4\n",
+    "2\n1.0 2\n3 4\n",
+    "2\n5,2 1\n3 4\n",
+    "2\n1 -3\n3 4\n",
+    f"1\n{2**63}\n",
+    f"2\n{max_entry_for(2)} 0\n0 {max_entry_for(2) + 1}\n",
+    "3\n1 2 3\n4 5\n6 7 8\n",
+    "3\n1 2 3\n4 5 6\n",
+])
+@pytest.mark.filterwarnings("error")
+def test_parse_matches_the_token_loop_on_known_pitfalls(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+def test_plain_ascii_never_reaches_the_token_loop(monkeypatch):
+    def refuse(body, n):
+        raise AssertionError("the token loop ran on a plain instance")
+
+    monkeypatch.setattr(instance, "_parse_tokens", refuse)
+    for n, max_value in ((1, 0), (7, max_entry_for(7)), (40, 10**6)):
+        v = generate(n, n, max_value)
+        assert np.array_equal(parse(serialize(v)).values, v.values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_n=12))
+def test_serialize_matches_the_row_join(rows):
+    v = ValuationMatrix(rows)
+    assert serialize(v) == reference_serialize(v)
+
+
+def test_serialize_matches_the_row_join_for_every_digit_width():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 13):
+        bound = max_entry_for(n)
+        for width in range(1, len(str(bound)) + 1):
+            top = min(bound, 10**width - 1)
+            values = rng.integers(0, top, size=(n, n), endpoint=True)
+            values.flat[rng.integers(n * n)] = top
+            v = ValuationMatrix(values)
+            assert serialize(v) == reference_serialize(v), (n, width)
+
+
+def test_serialize_and_write_span_several_blocks(tmp_path):
+    n = 150  # 22,500 entries: more than one block, with rows split across blocks
+    assert n * n > instance._BLOCK
+    v = generate(n, 3, max_value=max_entry_for(n))
+    expected = reference_serialize(v)
+    assert serialize(v) == expected
+    path = tmp_path / "instance.txt"
+    write_instance(v, path)
+    assert path.read_bytes() == expected.encode()
+
+
+def test_generated_instance_digest():
+    # Taken from the per-row writer, before serialize moved to numpy.
+    digest = hashlib.sha256(serialize(generate(50, 7)).encode()).hexdigest()
+    assert digest == "0b0495cb5a86d919a5cb5e47a9bfc2e86ea0dfeeef64b08fffa3fb715a5a773a"

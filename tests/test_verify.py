@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efpricing import (
     Allocation,
@@ -9,6 +11,7 @@ from efpricing import (
     brute_force_max_revenue,
     check_envy_free,
     prices_efpm,
+    raisable_consumers,
 )
 
 from helpers import random_matrix, run_pipeline
@@ -120,3 +123,46 @@ class TestPipelineEnvyFreeness:
         # Raising any single optimal price must always create envy or a
         # negative utility, because minimal utilities leave no slack.
         assert tampered_caught == 40
+
+
+class TestRaisableConsumers:
+    def test_optimal_prices_leave_nothing_to_raise(self):
+        v = ValuationMatrix([[5, 4], [1, 2]])
+        a = Allocation.from_assignment(v, [0, 1])
+        assert raisable_consumers(v, a, price_vector([3, 2])) == []
+
+    def test_zero_prices_leave_everyone_raisable(self):
+        v = ValuationMatrix([[5, 4], [1, 2]])
+        a = Allocation.from_assignment(v, [0, 1])
+        assert raisable_consumers(v, a, price_vector([0, 0])) == [0, 1]
+
+    def test_tight_chain_reaches_the_zero_set(self):
+        # Utilities (2, 1, 0): consumer 2 is at zero, 1 likes item 2 as
+        # much as its own and 0 likes item 1 as much as its own.
+        v = ValuationMatrix([[8, 6, 0], [0, 5, 4], [0, 0, 3]])
+        a = Allocation.from_assignment(v, [0, 1, 2])
+        assert check_envy_free(v, a, price_vector([6, 4, 3])).envy_free
+        assert raisable_consumers(v, a, price_vector([6, 4, 3])) == []
+        # A lower price on item 0 cuts consumer 0's tight arc, and only its.
+        assert check_envy_free(v, a, price_vector([5, 4, 3])).envy_free
+        assert raisable_consumers(v, a, price_vector([5, 4, 3])) == [0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_only_the_pipeline_prices_pass(self, data):
+        """Among envy-free prices for an optimal allocation, exactly the
+        revenue-maximal ones leave no consumer raisable."""
+        n = data.draw(st.integers(1, 5))
+        hi = data.draw(st.sampled_from([3, 1000]))
+        rows = data.draw(st.lists(st.lists(st.integers(0, hi), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        v = ValuationMatrix(rows)
+        result, _, _, _, prices = run_pipeline(v, prices_efpm)
+        cuts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        lowered = price_vector((prices.p - np.array(cuts)).tolist())
+        if not check_envy_free(v, result.allocation, lowered).envy_free:
+            return
+        raisable = raisable_consumers(v, result.allocation, lowered)
+        assert (raisable == []) == (not any(cuts))
+        if n <= 4:
+            assert (raisable == []) == (lowered.revenue == brute_force_max_revenue(v))
