@@ -21,6 +21,7 @@ import numpy as np
 #: Largest magnitude allowed for a single valuation entry of an n x n
 #: matrix, chosen so that any sum of n entries fits in signed 64 bits.
 INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
 
 
 class InstanceTooLargeError(ValueError):

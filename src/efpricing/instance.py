@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValuationMatrix, max_entry_for
+from .core import INT64_MAX, INT64_MIN, ValuationMatrix, max_entry_for
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -231,17 +231,31 @@ class SolutionRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "SolutionRecord":
+        """Read a record; every number must fit a signed 64-bit integer."""
         try:
             doc = json.loads(text)
-            return cls(
+            record = cls(
                 n=int(doc["n"]),
                 assignment=[int(x) for x in doc["assignment"]],
                 prices=[int(x) for x in doc["prices"]],
                 revenue=int(doc["revenue"]),
                 iterations_used=int(doc["iterations_used"]),
             )
+            for name in ("n", "revenue", "iterations_used"):
+                _check_int64(name, getattr(record, name))
+            for name in ("assignment", "prices"):
+                xs = getattr(record, name)
+                if xs and (min(xs) < INT64_MIN or max(xs) > INT64_MAX):
+                    for k, x in enumerate(xs):
+                        _check_int64(f"{name}[{k}]", x)
+            return record
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed solution record: {exc}") from None
+
+
+def _check_int64(field: str, x: int) -> None:
+    if not INT64_MIN <= x <= INT64_MAX:
+        raise ValueError(f"{field} = {x} is outside the signed 64-bit range")
 
 
 def write_solution(record: SolutionRecord, path) -> None:

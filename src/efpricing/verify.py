@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    INT64_MAX,
     Allocation,
     InstanceTooLargeError,
     ValuationMatrix,
@@ -48,13 +49,20 @@ def check_envy_free(v: ValuationMatrix, a: Allocation, p: PriceVector) -> EnvyRe
     A consumer may be indifferent between several items; only strict
     improvements count as envy.  Consumers whose assigned utility is
     negative are reported separately (buying nothing beats buying).
+    Gains are exact for every int64 price.
     """
     n = v.n
     if a.n != n or p.p.shape != (n,):
         raise ValueError(
             f"inconsistent sizes: matrix {n}, allocation {a.n}, prices {p.p.shape}"
         )
-    utilities = v.values - p.p[np.newaxis, :]
+    values, prices = v.values, p.p
+    # Utilities lie in -max(p)..max(v)-min(p), and gains within their
+    # spread; past int64, the check runs on Python integers instead.
+    pmax = int(prices.max())
+    if int(values.max()) - int(prices.min()) + max(pmax, 0) > INT64_MAX:
+        values, prices = values.astype(object), prices.astype(object)
+    utilities = values - prices[np.newaxis, :]
     own = utilities[np.arange(n), a.assignment]
     gains = utilities - own[:, np.newaxis]
     violations = [
@@ -81,6 +89,10 @@ def raisable_consumers(v: ValuationMatrix, a: Allocation, p: PriceVector) -> lis
     O(n^2).  The consumers it never reaches can have their prices raised
     together without envy or negative utility, so the list is empty
     exactly when the revenue is the maximum for this allocation.
+
+    The int64 arithmetic is exact here: envy-free prices are at most M =
+    ``max_entry_for(n)``, so every surplus lies in -M..M+2**63, a span
+    below 2**64, and wrapped surpluses are equal only when true ones are.
     """
     n = v.n
     surplus = v.values - p.p[np.newaxis, :]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import efpricing
 from efpricing import SolutionRecord, read_solution
 from efpricing.cli import CSV_HEADER, main
 
@@ -128,6 +133,26 @@ class TestVerify:
         assert run_cli("verify", str(path), str(sol)) == 1
         assert "1 of 2 consumers (first: 1) reach no zero-utility" in capsys.readouterr().out
 
+    def test_price_beyond_int64_is_usage_error(self, instance_2x2, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        sol.write_text(
+            '{"assignment":[0,1],"iterations_used":1,"n":2,'
+            '"prices":[3,99999999999999999999],"revenue":3}\n'
+        )
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 2
+        assert "prices[1] = 99999999999999999999" in capsys.readouterr().err
+
+    def test_extreme_prices_report_the_exact_gain(self, instance_2x2, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        rec = SolutionRecord(
+            n=2, assignment=[0, 1], prices=[-(2**63 - 1), 2],
+            revenue=-(2**63 - 1) + 2, iterations_used=0,
+        )
+        sol.write_text(rec.to_json())
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 1
+        out = capsys.readouterr().out
+        assert out == f"envy: consumer 1 gains {2**63} by taking item 0\n"
+
     def test_size_mismatch_is_usage_error(self, instance_2x2, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         rec = SolutionRecord(n=3, assignment=[0, 1, 2], prices=[1, 1, 1], revenue=3, iterations_used=0)
@@ -190,3 +215,15 @@ class TestBench:
     def test_bad_sizes_is_usage_error(self, capsys):
         assert run_cli("bench", "--sizes", "ten", "--trials", "2") == 2
         assert run_cli("bench", "--sizes", "0", "--trials", "2") == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Every command pays for what importing the CLI loads; scipy alone
+    # costs most of a second, and only bench needs it.
+    src = str(Path(efpricing.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, efpricing.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -149,3 +152,24 @@ class TestSolutionRecord:
             SolutionRecord.from_json('{"n": 2}')
         with pytest.raises(ParseError):
             SolutionRecord.from_json("not json")
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("n", 2**63, "n = 9223372036854775808"),
+            ("revenue", -(2**63) - 1, "revenue = -9223372036854775809"),
+            ("iterations_used", 10**20, "iterations_used = 100000000000000000000"),
+            ("assignment", [0, 2**64], "assignment[1] = 18446744073709551616"),
+            ("prices", [3, 10**20], "prices[1] = 100000000000000000000"),
+        ],
+    )
+    def test_numbers_beyond_int64_are_refused(self, field, value, named):
+        doc = {"assignment": [0, 1], "iterations_used": 1, "n": 2, "prices": [3, 2], "revenue": 5}
+        doc[field] = value
+        with pytest.raises(ParseError, match=re.escape(named)):
+            SolutionRecord.from_json(json.dumps(doc))
+
+    def test_int64_extremes_are_accepted(self):
+        lo, hi = -(2**63), 2**63 - 1
+        rec = SolutionRecord(n=2, assignment=[0, 1], prices=[lo, hi], revenue=-1, iterations_used=0)
+        assert SolutionRecord.from_json(rec.to_json()) == rec

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from efpricing import (
     InstanceTooLargeError,
     ValuationMatrix,
     brute_force_assignment,
+    build_gap_matrix,
+    prices_efpm,
+    reorder,
     solve_assignment,
 )
+from efpricing.core import max_entry_for
 
 from helpers import random_matrix
 
@@ -29,7 +35,7 @@ def test_constant_matrix_returns_valid_permutation():
     res = solve_assignment(ValuationMatrix(np.full((n, n), 3)))
     assert sorted(res.allocation.assignment.tolist()) == list(range(n))
     assert res.allocation.weight == n * 3
-    # Low-index tie-breaking makes the all-ties outcome the identity.
+    # Column reduction gives each column its lowest free tied row.
     assert res.allocation.assignment.tolist() == list(range(n))
 
 
@@ -93,10 +99,100 @@ def test_dual_certificate():
     for _ in range(100):
         n = int(rng.integers(1, 30))
         v = random_matrix(rng, n, int(rng.choice([3, 10**6])))
-        res = solve_assignment(v)
-        row_pot, col_pot = res.dual_potentials
-        # Feasible everywhere, tight on matched pairs, and summing to the weight.
-        assert np.all(row_pot[:, None] + col_pot[None, :] >= v.values)
-        a = res.allocation.assignment
-        assert np.all(row_pot + col_pot[a] == v.values[np.arange(n), a])
-        assert int(row_pot.sum() + col_pot.sum()) == res.allocation.weight
+        assert_dual_certificate(v, solve_assignment(v))
+
+
+def assert_dual_certificate(v, res):
+    """Feasible everywhere, tight on matched pairs, summing to the weight;
+    checked in Python integers so that the check itself cannot wrap."""
+    n = v.n
+    values = v.values.astype(object)
+    row_pot, col_pot = (p.astype(object) for p in res.dual_potentials)
+    assert np.all(row_pot[:, None] + col_pot[None, :] >= values)
+    a = res.allocation.assignment
+    assert np.all(row_pot + col_pot[a] == values[np.arange(n), a])
+    assert row_pot.sum() + col_pot.sum() == res.allocation.weight
+
+
+def efpm_prices(v, allocation):
+    vp = reorder(v, allocation)
+    return prices_efpm(build_gap_matrix(vp), vp)[1].p
+
+
+def square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def small_entries(draw):
+    n = draw(st.integers(1, 7))
+    return draw(square(n, st.integers(0, 3)))
+
+
+@st.composite
+def constant_matrices(draw):
+    n = draw(st.integers(1, 7))
+    c = draw(st.integers(0, max_entry_for(n)))
+    return [[c] * n for _ in range(n)]
+
+
+@st.composite
+def extreme_entries(draw):
+    n = draw(st.integers(1, 7))
+    m = max_entry_for(n)
+    return draw(square(n, st.sampled_from([0, m // 2, m - 1, m])))
+
+
+@st.composite
+def chains(draw):
+    """Consumer i values item i at h and item i+1 at h+1; the rest is
+    filler below h, drawn from a small range so that it ties."""
+    n = draw(st.integers(1, 7))
+    h = draw(st.integers(2, max_entry_for(n) - 1))
+    filler = draw(st.sampled_from([0, h // 2, h - 1]))
+    rows = [[filler] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = h
+        if i + 1 < n:
+            rows[i][i + 1] = h + 1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "family", [small_entries, constant_matrices, extreme_entries, chains]
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_matcher_properties(family, data):
+    v = ValuationMatrix(data.draw(family()))
+    res = solve_assignment(v)
+    exact = brute_force_assignment(v)
+    assert res.allocation.weight == exact.allocation.weight
+    assert_dual_certificate(v, res)
+    again = solve_assignment(v)
+    assert np.array_equal(again.allocation.assignment, res.allocation.assignment)
+    for mine, other in zip(res.dual_potentials, again.dual_potentials):
+        assert np.array_equal(mine, other)
+    # Shapley-Shubik: the minimal stable prices do not depend on which
+    # optimal allocation they are computed for, so tie-breaks may change.
+    assert np.array_equal(efpm_prices(v, res.allocation), efpm_prices(v, exact.allocation))
+
+
+def test_extreme_entries_regression():
+    # Entries at max_entry_for(6) and half of it.  Uncapped augmenting row
+    # reduction lowers potentials here by steps far smaller than the
+    # entries and does not finish in any reasonable time; the step cap
+    # per pass hands the rows left to the shortest path step instead.
+    m = max_entry_for(6)
+    h = m // 2
+    v = ValuationMatrix([
+        [0, m - 1, m, 0, m, 0],
+        [m, 0, m - 1, m, m - 1, 0],
+        [0, 0, m - 1, h, 0, m],
+        [m - 1, 0, m, h, 0, h],
+        [m - 1, 0, m - 1, h, 0, 0],
+        [m, h, m - 1, 0, h, 0],
+    ])
+    res = solve_assignment(v)
+    assert res.allocation.weight == brute_force_assignment(v).allocation.weight
+    assert_dual_certificate(v, res)

@@ -13,6 +13,7 @@ from efpricing import (
     prices_efpm,
     raisable_consumers,
 )
+from efpricing.core import max_entry_for
 
 from helpers import random_matrix, run_pipeline
 
@@ -52,6 +53,37 @@ class TestCheckEnvyFree:
         a2 = Allocation.from_assignment(v2, [0, 1])
         report = check_envy_free(v2, a2, price_vector([0, 0]))
         assert not report.envy_free
+
+    def test_extreme_prices_give_exact_gains(self):
+        # Utilities of 2**63 and more do not fit int64: consumer 0's own
+        # utility is 2**63 + 4 and it envies nothing; consumer 1 gains
+        # exactly 2**63 on item 0.
+        v = ValuationMatrix([[5, 4], [1, 2]])
+        a = Allocation.from_assignment(v, [0, 1])
+        report = check_envy_free(v, a, price_vector([-(2**63 - 1), 2]))
+        assert report.violations == [(1, 0, 2**63)]
+        assert report.negative_utility_consumers == []
+        assert not report.envy_free
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_python_integers_for_any_int64_prices(self, data):
+        n = data.draw(st.integers(1, 4))
+        m = max_entry_for(n)
+        entries = st.one_of(st.integers(0, 3), st.sampled_from([m - 1, m]))
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        int64 = st.integers(-(2**63), 2**63 - 1)
+        prices = data.draw(st.lists(st.one_of(int64, st.integers(-3, 3)),
+                                    min_size=n, max_size=n))
+        assignment = data.draw(st.permutations(range(n)))
+        v = ValuationMatrix(rows)
+        report = check_envy_free(v, Allocation.from_assignment(v, assignment),
+                                 price_vector(prices))
+        own = [rows[i][assignment[i]] - prices[assignment[i]] for i in range(n)]
+        gains = [(i, j, rows[i][j] - prices[j] - own[i]) for i in range(n) for j in range(n)]
+        assert report.violations == [(i, j, g) for i, j, g in gains if g > 0]
+        assert report.negative_utility_consumers == [i for i in range(n) if own[i] < 0]
 
     def test_dimension_mismatch(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
