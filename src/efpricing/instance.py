@@ -231,31 +231,41 @@ class SolutionRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "SolutionRecord":
-        """Read a record; every number must fit a signed 64-bit integer."""
+        """Read a record; every number must be a JSON integer within int64.
+
+        Floats, strings and booleans are refused, not converted: ``int()``
+        would read 3.9 as 3, "5" as 5 and true as 1.
+        """
         try:
             doc = json.loads(text)
-            record = cls(
-                n=int(doc["n"]),
-                assignment=[int(x) for x in doc["assignment"]],
-                prices=[int(x) for x in doc["prices"]],
-                revenue=int(doc["revenue"]),
-                iterations_used=int(doc["iterations_used"]),
+            return cls(
+                n=_integer("n", doc["n"]),
+                assignment=_integers("assignment", doc["assignment"]),
+                prices=_integers("prices", doc["prices"]),
+                revenue=_integer("revenue", doc["revenue"]),
+                iterations_used=_integer("iterations_used", doc["iterations_used"]),
             )
-            for name in ("n", "revenue", "iterations_used"):
-                _check_int64(name, getattr(record, name))
-            for name in ("assignment", "prices"):
-                xs = getattr(record, name)
-                if xs and (min(xs) < INT64_MIN or max(xs) > INT64_MAX):
-                    for k, x in enumerate(xs):
-                        _check_int64(f"{name}[{k}]", x)
-            return record
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed solution record: {exc}") from None
 
 
-def _check_int64(field: str, x: int) -> None:
+def _integer(field: str, x) -> int:
+    # bool is a subclass of int, so the type is compared exactly.
+    if type(x) is not int:
+        raise ValueError(f"{field} = {json.dumps(x)} is not an integer")
     if not INT64_MIN <= x <= INT64_MAX:
         raise ValueError(f"{field} = {x} is outside the signed 64-bit range")
+    return x
+
+
+def _integers(field: str, xs) -> list[int]:
+    if type(xs) is not list:
+        raise ValueError(f"{field} = {json.dumps(xs)} is not a list")
+    # The type and range checks run in C; the loop only names the culprit.
+    if xs and (set(map(type, xs)) != {int} or min(xs) < INT64_MIN or max(xs) > INT64_MAX):
+        for k, x in enumerate(xs):
+            _integer(f"{field}[{k}]", x)
+    return xs
 
 
 def write_solution(record: SolutionRecord, path) -> None:

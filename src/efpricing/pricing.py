@@ -4,7 +4,8 @@ Two independent methods compute the same integer price vector:
 
 * :func:`prices_efpm` raises a vector of buyer utilities by repeated
   max-plus sweeps over the utility-gap matrix until it reaches the
-  unique minimal stable fixed point.
+  unique minimal stable fixed point.  Each sweep reads only the arcs
+  that can still raise a utility.
 * :func:`prices_bellman_ford` solves the equivalent shortest-path
   problem on an explicit arc-list network (a virtual source connected to
   every item node, plus one arc per ordered item pair) by synchronous
@@ -13,6 +14,18 @@ Two independent methods compute the same integer price vector:
 Stability means y[j] >= y[k] + gaps[j][k] for all j != k: no item's
 winner could gain by taking another item at that item's price.  Prices
 are then p[j] = winning_valuation[j] - y[j].
+
+efpm prunes its sweeps exactly.  It keeps a bound theta >= max(y) and
+the utilities y_r of the moment it last chose its arcs, and sweeps only
+the arcs (j, k) with gaps[j][k] > y_r[j] - theta.  While max(y) <= theta,
+a dropped arc gives y[k] + gaps[j][k] <= theta + y_r[j] - theta <= y[j],
+because utilities only rise, so it can never raise y[j]; the diagonal
+(gap 0 > y_r[j] - theta, as theta > max(y_r)) is always kept.  Every
+sweep therefore returns the vector the dense sweep would.  When max(y)
+passes theta, theta becomes 2 * max(y) and the arcs are chosen again
+with one n x n compare, so there are O(log max y) such rebuilds.  In
+the worst case every arc stays kept, and a sweep costs O(n^2) as the
+dense one does, with a larger constant; the O(n^3) bound stands.
 
 Both methods require the allocation behind the gap matrix to be
 welfare-optimal.  On other inputs the gap matrix contains a positive
@@ -26,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReorderedValuation, UtilityGapMatrix
+from .core import INT64_MAX, ReorderedValuation, UtilityGapMatrix
 
 
 class NonOptimalAllocation(ValueError):
@@ -94,12 +107,29 @@ def prices_efpm(
     to all-zero utilities) and keeps sweeping while any entry grows.  On
     optimal input the loop body runs at most n - 1 times; one extra sweep
     confirms the fixed point.  iterations_used counts the loop body runs.
+
+    Each sweep is y'[j] = max over kept k of y[k] + gaps[j][k], a gather
+    and a segmented maximum over the kept arcs in row order.  Invariant:
+    an arc (j, k) is kept when gaps[j][k] > y_r[j] - theta, where y_r is
+    y when the arcs were last chosen and theta > max(y_r); no dropped arc
+    can raise y[j] while max(y) <= theta (see the module docstring), so
+    every iterate equals the dense sweep's.  Rebuild: when max(y) passes
+    theta, theta becomes 2 * max(y), capped at INT64_MAX, and the arcs
+    are chosen again.  Worst case: nearly every arc stays kept, and a
+    sweep costs O(n^2) as a dense one does, but about 1.5 to 2 times as
+    long.
+
+    With gap entries of at most M = max_entry_for(n) in magnitude, each
+    sweep raises max(y) by at most M, so max(y) <= (n - 1) * M < INT64_MAX
+    before every sweep that runs, even when the allocation is not
+    optimal: the capped theta still exceeds max(y), and y - theta does
+    not wrap.
     """
     _check_sizes(u, vp)
     n = u.n
     gaps = u.gaps
     y = gaps.max(axis=1)
-    work = np.empty_like(gaps)
+    theta = 0
     iterations = 0
     changed = bool((y > 0).any())
     while changed:
@@ -109,10 +139,17 @@ def prices_efpm(
                 "the input allocation is not revenue-optimal",
                 sweeps=iterations + 1,
             )
-        np.add(gaps, y[np.newaxis, :], out=work)
-        y_next = work.max(axis=1)
+        top = int(y.max())
+        if top > theta:
+            theta = min(2 * top, INT64_MAX)
+            arcs = np.flatnonzero(gaps > (y - theta)[:, np.newaxis])
+            weights = gaps.reshape(-1)[arcs]
+            tails = arcs % n
+            # Every row keeps its diagonal, so no segment is empty.
+            segments = np.searchsorted(arcs, np.arange(0, n * n, n))
+        y_next = np.maximum.reduceat(y[tails] + weights, segments)
         iterations += 1
-        changed = not np.array_equal(y_next, y)
+        changed = bool((y_next != y).any())
         y = y_next
     return _finish(vp, y, iterations)
 
@@ -165,22 +202,24 @@ def minimality_certificate(u: UtilityGapMatrix, y: UtilityVector) -> bool:
     Every entry with y[j] > 0 must be held up by a tight arc
     (y[j] == y[k] + gaps[j][k] for some k != j) and chains of tight arcs
     must bottom out at a zero-utility entry.  Equivalently: following
-    tight arcs, every node reaches the zero set.  Returns False as well
-    if the vector is not stable at all.
+    tight arcs, every node reaches the zero set.  A reverse breadth-first
+    search from the zero set finds the nodes that do, one level at a
+    time; each node enters one level, so each row of tight arcs is read
+    once and the check is O(n^2).  Returns False as well if the vector
+    is not stable at all.
     """
     vec = np.asarray(y.y, dtype=np.int64)
-    n = u.n
-    gaps = u.gaps
-    diff = vec[:, np.newaxis] - vec[np.newaxis, :] - gaps
-    if diff.min() < 0:
+    # slack[k, j] = y[j] - y[k] - gaps[j][k]: zero when k holds j up.
+    slack = vec[np.newaxis, :] - vec[:, np.newaxis] - u.gaps.T
+    if slack.min() < 0:
         return False
-    tight = (diff == 0) & ~np.eye(n, dtype=bool)
+    held = slack == 0
     reached = vec == 0
-    while True:
-        grown = reached | (tight & reached[np.newaxis, :]).any(axis=1)
-        if np.array_equal(grown, reached):
-            break
-        reached = grown
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        newly = np.flatnonzero(held[frontier].any(axis=0) & ~reached)
+        reached[newly] = True
+        frontier = newly
     return bool(reached.all())
 
 

@@ -29,3 +29,26 @@ def permutation_matrix(assignment):
     x = np.zeros((n, n), dtype=np.int64)
     x[np.arange(n), assignment] = 1
     return x
+
+
+def reference_efpm(u):
+    """efpm as a dense loop: every sweep reads the whole gap matrix.
+
+    Returns (y, iterations_used), or (None, sweeps) where prices_efpm
+    raises NonOptimalAllocation after that many sweeps.
+    """
+    n = u.n
+    gaps = u.gaps
+    y = gaps.max(axis=1)
+    work = np.empty_like(gaps)
+    iterations = 0
+    changed = bool((y > 0).any())
+    while changed:
+        if iterations >= n - 1:
+            return None, iterations + 1
+        np.add(gaps, y[np.newaxis, :], out=work)
+        y_next = work.max(axis=1)
+        iterations += 1
+        changed = not np.array_equal(y_next, y)
+        y = y_next
+    return y, iterations

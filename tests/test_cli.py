@@ -142,6 +142,30 @@ class TestVerify:
         assert run_cli("verify", str(instance_2x2), str(sol)) == 2
         assert "prices[1] = 99999999999999999999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"prices": [3.9, 2]}, "prices[0] = 3.9 is not an integer"),
+            ({"assignment": [0, 1.7], "iterations_used": True}, "assignment[1] = 1.7"),
+            ({"iterations_used": True}, "iterations_used = true is not an integer"),
+            ({"revenue": "5"}, 'revenue = "5" is not an integer'),
+            ({"prices": ["3", "2"]}, 'prices[0] = "3" is not an integer'),
+        ],
+    )
+    def test_non_integer_numbers_are_usage_errors(
+        self, instance_2x2, tmp_path, capsys, changes, named
+    ):
+        # Each of these records reads as the correct one, [3, 2] at revenue
+        # 5, if its numbers are converted with int().
+        doc = {"assignment": [0, 1], "iterations_used": 1, "n": 2, "prices": [3, 2], "revenue": 5}
+        doc.update(changes)
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(doc))
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "ok" not in captured.out
+
     def test_extreme_prices_report_the_exact_gain(self, instance_2x2, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         rec = SolutionRecord(

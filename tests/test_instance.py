@@ -169,6 +169,33 @@ class TestSolutionRecord:
         with pytest.raises(ParseError, match=re.escape(named)):
             SolutionRecord.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("n", 2.0, "n = 2.0 is not an integer"),
+            ("n", True, "n = true is not an integer"),
+            ("revenue", "5", 'revenue = "5" is not an integer'),
+            ("iterations_used", False, "iterations_used = false is not an integer"),
+            ("iterations_used", None, "iterations_used = null is not an integer"),
+            ("assignment", [0, 1.7], "assignment[1] = 1.7 is not an integer"),
+            ("assignment", [True, 0], "assignment[0] = true is not an integer"),
+            ("prices", [3.9, 2], "prices[0] = 3.9 is not an integer"),
+            ("prices", [3, "2"], 'prices[1] = "2" is not an integer'),
+            ("prices", [3, 1e300], "prices[1] = 1e+300 is not an integer"),
+            ("prices", "32", 'prices = "32" is not a list'),
+            ("assignment", {"0": 0}, 'assignment = {"0": 0} is not a list'),
+        ],
+    )
+    def test_only_json_integers_are_accepted(self, field, value, named):
+        doc = {"assignment": [0, 1], "iterations_used": 1, "n": 2, "prices": [3, 2], "revenue": 5}
+        doc[field] = value
+        with pytest.raises(ParseError, match=re.escape(named)):
+            SolutionRecord.from_json(json.dumps(doc))
+
+    def test_a_document_that_is_not_an_object_is_refused(self):
+        with pytest.raises(ParseError, match="malformed solution record"):
+            SolutionRecord.from_json("[2, 5]")
+
     def test_int64_extremes_are_accepted(self):
         lo, hi = -(2**63), 2**63 - 1
         rec = SolutionRecord(n=2, assignment=[0, 1], prices=[lo, hi], revenue=-1, iterations_used=0)
