@@ -169,11 +169,44 @@ def _check_agreement(outcomes, n, trial):
         )
 
 
-def _summarize(rows: list[BenchTrial], methods: list[str]) -> BenchReport:
-    # Imported here: scipy.stats takes about a second to import, and only
-    # bench needs it.
-    from scipy.stats import t as student_t
+def student_t_quantile(q: float, df: int) -> float:
+    """The q-quantile of Student's t with df degrees of freedom, 0.5 < q < 1.
 
+    Hill (1970), Algorithm 396: exact for df = 1 and 2, and otherwise an
+    expansion about the normal quantile for the two-tailed probability
+    p = 2(1 - q), or one in powers of p where p is small.
+    """
+    # Imported here: only bench needs it, and every command pays for the
+    # CLI's imports.
+    from statistics import NormalDist
+
+    p = 2.0 * (1.0 - q)
+    if df == 1:
+        return 1.0 / math.tan(p * math.pi / 2.0)
+    if df == 2:
+        return math.sqrt(2.0 / (p * (2.0 - p)) - 2.0)
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
+    y = (d * p) ** (2.0 / df)
+    if y > 0.05 + a:
+        x = NormalDist().inv_cdf(p / 2.0)
+        y = x * x
+        if df < 5:
+            c += 0.3 * (df - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        y = (
+            (1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+             + 0.5 / (df + 4.0)) * y - 1.0
+        ) * (df + 1.0) / (df + 2.0) + 1.0 / y
+    return math.sqrt(df * y)
+
+
+def _summarize(rows: list[BenchTrial], methods: list[str]) -> BenchReport:
     summaries = []
     means: dict[tuple[int, str], float] = {}
     sizes = sorted({r.n for r in rows})
@@ -184,7 +217,7 @@ def _summarize(rows: list[BenchTrial], methods: list[str]) -> BenchReport:
             mean = sum(xs) / k
             var = sum((x - mean) ** 2 for x in xs) / (k - 1)
             std = math.sqrt(var)
-            half = float(student_t.ppf(0.975, k - 1)) * std / math.sqrt(k)
+            half = student_t_quantile(0.975, k - 1) * std / math.sqrt(k)
             summaries.append(
                 MethodSummary(
                     n=n,

@@ -9,6 +9,17 @@ than tolerance-based.
 Index convention: rows are consumers, columns are items.  After an
 allocation is applied (:func:`reorder`), index i refers simultaneously to
 item i and to the consumer who won item i.
+
+Ownership: :class:`ValuationMatrix` and :class:`UtilityGapMatrix` wrap an
+int64, C-contiguous array that owns its data as it is, without a copy,
+and mark it read-only, so the caller's array can no longer be written.
+Any other input (a list, a view, a non-contiguous or non-int64 array) is
+copied first.  :func:`reorder` copies nothing either: a
+:class:`ReorderedValuation` holds the source matrix, the item-to-consumer
+order and the winning valuations, and builds its ``values`` on demand.
+:func:`build_gap_matrix` then gathers the rows and subtracts the winning
+valuations in place, so one solve holds the valuation matrix, the gap
+matrix and O(n) state besides.
 """
 
 from __future__ import annotations
@@ -34,7 +45,19 @@ def max_entry_for(n: int) -> int:
     return INT64_MAX // max(n, 1)
 
 
+def _owned_int64(arr) -> bool:
+    """Whether a wrapper may keep arr itself instead of a copy."""
+    return (
+        type(arr) is np.ndarray
+        and arr.dtype == np.int64
+        and arr.flags.c_contiguous
+        and arr.flags.owndata
+    )
+
+
 def _as_int_matrix(values) -> np.ndarray:
+    if _owned_int64(values):
+        return values
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise TypeError(f"integer valuations required, got dtype {arr.dtype}")
@@ -121,32 +144,35 @@ class Allocation:
 
 @dataclass(frozen=True)
 class ReorderedValuation:
-    """Valuation matrix with rows permuted by an allocation.
+    """Valuation matrix with rows permuted by an allocation, built lazily.
 
-    Row i is the valuation row of the consumer who received item i, so
-    the diagonal holds each item's winning valuation and the trace equals
-    the allocation weight.
+    Row i of ``values`` is the valuation row of the consumer who received
+    item i, so the diagonal holds each item's winning valuation and the
+    trace equals the allocation weight.  Only the source matrix, the
+    item-to-consumer order and the winning valuations are kept; ``values``
+    is gathered anew, as a read-only n x n array, each time it is read.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_int_matrix(self.values)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"reordered matrix must be square, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+    source: np.ndarray
+    order: np.ndarray
+    winning: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.order.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        arr = np.take(self.source, self.order, axis=0)
+        arr.flags.writeable = False
+        return arr
 
     @property
     def trace(self) -> int:
-        return int(np.trace(self.values))
+        return int(self.winning.sum())
 
     def winning_valuations(self) -> np.ndarray:
-        return np.diagonal(self.values)
+        return self.winning
 
 
 @dataclass(frozen=True)
@@ -163,7 +189,7 @@ class UtilityGapMatrix:
     gaps: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.gaps, dtype=np.int64)
+        arr = self.gaps if _owned_int64(self.gaps) else np.array(self.gaps, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"gap matrix must be square, got shape {arr.shape}")
         if np.any(np.diagonal(arr) != 0):
@@ -185,12 +211,21 @@ def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:
     """
     if a.n != v.n:
         raise ValueError(f"allocation size {a.n} does not match matrix size {v.n}")
-    return ReorderedValuation(values=v.values[a.item_to_consumer(), :])
+    order = a.item_to_consumer()
+    winning = v.values[order, np.arange(v.n)]
+    winning.flags.writeable = False
+    order.flags.writeable = False
+    return ReorderedValuation(source=v.values, order=order, winning=winning)
 
 
 def build_gap_matrix(vp: ReorderedValuation) -> UtilityGapMatrix:
-    """Subtract each item's winning valuation from its column."""
-    gaps = vp.values - np.diagonal(vp.values)[np.newaxis, :]
+    """Subtract each item's winning valuation from its column.
+
+    One gather of the reordered rows, then an in-place subtraction: the
+    gap matrix is the only n x n array made.
+    """
+    gaps = np.take(vp.source, vp.order, axis=0)
+    gaps -= vp.winning
     return UtilityGapMatrix(gaps=gaps)
 
 

@@ -26,6 +26,14 @@ the same texts with the same values.  :func:`serialize` formats blocks
 of entries as right-aligned digit tables and keeps the bytes after each
 entry's leading padding; the blocks bound its working memory.
 
+:func:`read_instance` streams: it reads a file of plain ASCII digits,
+spaces and newlines in blocks of rows of about ``_BLOCK`` entries each,
+straight into the one n x n array it returns, so it never holds the
+whole text or its list of lines.  A file with any other byte (a tab, a
+carriage return, a sign, a non-ASCII digit) or with a row that the block
+reader refuses is read whole and handed to :func:`parse`, which gives
+the same value or words the same error.
+
 Solution files are a single canonical JSON document (sorted keys, no
 spaces, one trailing newline) holding assignment, prices, revenue and
 iterations_used.  Per-phase timings are deliberately not part of the
@@ -35,6 +43,7 @@ record so that repeated solves of one instance are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,13 +105,16 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
             cursor += pending.size
             draws[pending] = fresh
             pending = pending[fresh >= limit]
-    values = (draws % np.uint64(span)).astype(np.int64).reshape(n, n)
+    values = (draws % np.uint64(span)).reshape(n, n).astype(np.int64)
     return ValuationMatrix(values)
 
 
-#: Entries formatted per block by :func:`serialize`.  Each entry takes a
-#: few dozen bytes of temporaries, so a block works in about 1 MiB.
+#: Entries formatted per block by :func:`serialize`, and about the entries
+#: read per block by :func:`read_instance`.  Each entry takes a few dozen
+#: bytes of temporaries, so a block works in about 1 MiB.
 _BLOCK = 1 << 14
+#: The bytes a streamed instance may hold; any other sends it to parse.
+_PLAIN = b"0123456789 \n"
 #: 10, 100, ..., 10**18: an entry below 10**k has at most k digits.
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -206,7 +218,68 @@ def write_instance(v: ValuationMatrix, path) -> None:
 
 
 def read_instance(path) -> ValuationMatrix:
-    return parse(Path(path).read_text())
+    """Read an instance file, streaming it when it is plain (see above)."""
+    values = _read_plain(path)
+    if values is None:
+        return parse(Path(path).read_text())
+    return ValuationMatrix(values)
+
+
+def _read_plain(path):
+    """The matrix of a plain instance file, or None where parse must decide.
+
+    Plain means: a header of digits and spaces, then exactly n rows of
+    digits and spaces, each ended by a newline (the last one may end at
+    the end of the file instead), and nothing after them.  Every row
+    must hold n entries within the bound.  Each block of rows is read
+    with ``np.loadtxt``, which agrees with ``int()`` on plain digits.
+    The matrix is allocated only once the file is large enough to hold
+    it, at two bytes or more per entry, so a wrong header cannot ask for
+    more than four times the file's size.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not _is_plain_line(header):
+            return None
+        try:
+            n = int(header)
+        except ValueError:
+            return None
+        if n < 1 or os.fstat(fh.fileno()).st_size < len(header) + 2 * n * n - 1:
+            return None
+        bound = max_entry_for(n)
+        values = np.empty((n, n), dtype=np.int64)
+        step = max(1, _BLOCK // n)
+        for start in range(0, n, step):
+            if not _read_plain_rows(fh, values[start : start + step], bound):
+                return None
+        if fh.read(1):
+            return None
+    return values
+
+
+def _read_plain_rows(fh, out: np.ndarray, bound: int) -> bool:
+    """Fill out with the next rows of fh; False if they are not plain.
+
+    A function of its own, so that one block's lines and array are freed
+    before the next block is read.
+    """
+    lines = [fh.readline() for _ in range(out.shape[0])]
+    if not all(map(_is_plain_line, lines)):
+        return False
+    try:
+        block = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return False
+    if block.shape != out.shape or block.max() > bound:
+        return False
+    out[...] = block
+    return True
+
+
+def _is_plain_line(line: bytes) -> bool:
+    # loadtxt skips blank rows, which parse counts.
+    return bool(line) and not line.isspace() and not line.translate(None, _PLAIN)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,24 @@ The solver is the shortest augmenting path method of Jonker and
 Volgenant (1987), written for dense integer matrices.  It minimises the
 cost ``cost[i][j] = colmax[j] - values[i][j]``, in which every column's
 best entries are zero and all entries lie in 0..M with
-M = ``max_entry_for(n)``, in three steps:
+M = ``max_entry_for(n)``.  The cost matrix is never built: the solver
+keeps h = colmax - pot, with pot the column potentials of ``cost``, and
+reads the reduced cost of row i as ``h - values[i]``, so it holds no
+n x n array but the input and the n x n booleans of step 1.  It runs in
+three steps:
 
 1. Column reduction.  Each column goes to one of its zero-cost rows,
    preferring a row that is still free, so that tied columns spread
    over the rows instead of piling onto one.
 2. Augmenting row reduction.  A free row takes its cheapest column at
-   reduced cost; when that column is held, its potential drops by the
-   gap to the row's second-cheapest column and the holder is freed to
-   bid in turn.  Each pass stops after a fixed number of steps per row,
+   reduced cost; when that column is held, its h rises by the gap to
+   the row's second-cheapest column and the holder is freed to bid in
+   turn.  Each pass stops after a fixed number of steps per row,
    which keeps the bound O(n^3): without a cap this step's progress
    depends on the size of the entries.
 3. Shortest augmenting paths.  Each row still free grows one Dijkstra
-   tree over the reduced costs until it reaches a free column.  The
-   column potentials are updated once per augmentation, not once per
-   step.
+   tree over the reduced costs until it reaches a free column.  h is
+   updated once per augmentation, not once per step.
 
 Alongside the matching the solver returns integer row/column potentials
 so that callers can verify optimality through the standard dual
@@ -30,13 +33,14 @@ certificate:
 which together imply the matching weight equals the potential sum and no
 permutation can do better.
 
-All arithmetic is int64 and exact.  The column potentials of ``cost``
-only ever decrease, a free column's never moves from zero, and every
-matched row is at its minimum reduced cost.  Together these keep every
-potential in -M..0, every reduced cost in 0..2M and every path length
-the search compares in 0..3M (0..2M when n = 2, where 3M would not fit:
-the only column a path can still reach there is free), so nothing wraps
-for any valid matrix.
+All arithmetic is int64 and exact.  h only ever grows, a free column's
+h never moves from colmax, and every matched row is at its minimum
+reduced cost.  Together these keep h in colmax..colmax+M, a subset of
+0..2M, every reduced cost ``h[j] - values[i][j]`` in 0..2M and every
+path length the search compares in 0..3M (0..2M when n = 2, where 3M
+would not fit: the only column a path can still reach there is free),
+so nothing wraps for any valid matrix.  h is the column dual returned
+with the matching.
 
 A factorial brute-force oracle is provided for cross-checking on small
 instances.
@@ -85,25 +89,20 @@ def solve_assignment(v: ValuationMatrix) -> MatchingResult:
     """
     n = v.n
     values = v.values
-    colmax = values.max(axis=0)
-    cost = colmax - values
-    pot = np.zeros(n, dtype=np.int64)
-    row_of_col, col_of_row = _reduce_columns(values == colmax)
+    h = values.max(axis=0)
+    row_of_col, col_of_row = _reduce_columns(values == h)
     free = [i for i in range(n) if col_of_row[i] < 0]
     for _ in range(2):  # two passes, as Jonker and Volgenant run it
         if not free:
             break
-        free = _reduce_rows(cost, pot, row_of_col, col_of_row, free)
+        free = _reduce_rows(values, h, row_of_col, col_of_row, free)
     for root in free:
-        _augment(cost, pot, row_of_col, col_of_row, root)
+        _augment(values, h, row_of_col, col_of_row, root)
 
     assignment = np.array(col_of_row, dtype=np.int64)
-    row_pot = pot[assignment] - cost[np.arange(n), assignment]
+    row_pot = values[np.arange(n), assignment] - h[assignment]
     allocation = Allocation.from_assignment(v, assignment)
-    return MatchingResult(
-        allocation=allocation,
-        dual_potentials=(row_pot, colmax - pot),
-    )
+    return MatchingResult(allocation=allocation, dual_potentials=(row_pot, h))
 
 
 def _reduce_columns(tight: np.ndarray) -> tuple[list[int], list[int]]:
@@ -133,15 +132,15 @@ def _reduce_columns(tight: np.ndarray) -> tuple[list[int], list[int]]:
     return row_of_col, col_of_row
 
 
-def _reduce_rows(cost, pot, row_of_col, col_of_row, free: list[int]) -> list[int]:
+def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int]) -> list[int]:
     """One pass of augmenting row reduction; returns the rows left free.
 
-    A free row takes its cheapest column at reduced cost.  If another row
-    holds that column, the column's potential drops by the gap between
-    the row's two cheapest reduced costs and the holder bids next.  On a
-    tie there is no gap: the row takes its second-cheapest column instead
-    and a displaced holder waits for the next pass.  The pass stops after
-    ARR_STEPS_PER_ROW steps per row of the matrix.
+    A free row takes its cheapest column at reduced cost ``h - values[i]``.
+    If another row holds that column, the column's h rises by the gap
+    between the row's two cheapest reduced costs and the holder bids
+    next.  On a tie there is no gap: the row takes its second-cheapest
+    column instead and a displaced holder waits for the next pass.  The
+    pass stops after ARR_STEPS_PER_ROW steps per row of the matrix.
     """
     pending = free[::-1]  # a stack: the next row to bid is at the end
     deferred = []
@@ -149,7 +148,7 @@ def _reduce_rows(cost, pot, row_of_col, col_of_row, free: list[int]) -> list[int
         if not pending:
             break
         i = pending.pop()
-        reduced = cost[i] - pot
+        reduced = h - values[i]
         j1 = int(reduced.argmin())
         u1 = int(reduced[j1])
         reduced[j1] = INT64_MAX
@@ -158,7 +157,7 @@ def _reduce_rows(cost, pot, row_of_col, col_of_row, free: list[int]) -> list[int
         holder = row_of_col[j1]
         if u1 < u2:
             if holder >= 0:
-                pot[j1] -= u2 - u1
+                h[j1] += u2 - u1
         elif holder >= 0:
             j1 = j2
             holder = row_of_col[j2]
@@ -173,18 +172,18 @@ def _reduce_rows(cost, pot, row_of_col, col_of_row, free: list[int]) -> list[int
     return pending[::-1] + deferred
 
 
-def _augment(cost, pot, row_of_col, col_of_row, root: int) -> None:
+def _augment(values, h, row_of_col, col_of_row, root: int) -> None:
     """Match a free row through one shortest path to a free column.
 
     dist holds each column's tentative path length from root; a column
     whose length is final is marked -1, which is larger than every length
     when read as unsigned and smaller than every length when compared
     signed, so neither the minimum search nor the relaxation touches it.
-    Scanned columns keep their lengths in a list, and their potentials
-    move by (length - mu) once the path of length mu is found.
+    Scanned columns keep their lengths in a list, and their h values rise
+    by (mu - length) once the path of length mu is found.
     """
-    n = cost.shape[0]
-    dist = cost[root] - pot
+    n = values.shape[0]
+    dist = h - values[root]
     unsigned = dist.view(np.uint64)
     pred = np.full(n, root, dtype=np.int64)
     cand = np.empty(n, dtype=np.int64)
@@ -211,13 +210,13 @@ def _augment(cost, pot, row_of_col, col_of_row, root: int) -> None:
         dist[j] = -1
         # Row i reaches its own column j at length mu; its other columns
         # cost their reduced cost more.
-        np.subtract(cost[i], pot, out=cand)
-        cand -= int(cost[i, j]) - int(pot[j]) - mu
+        np.subtract(h, values[i], out=cand)
+        cand -= int(h[j]) - int(values[i, j]) - mu
         np.less(cand, dist, out=better)
         np.copyto(dist, cand, where=better)
         np.copyto(pred, i, where=better)
     if scanned:
-        pot[scanned] -= mu - np.array(lengths, dtype=np.int64)
+        h[scanned] += mu - np.array(lengths, dtype=np.int64)
     while True:
         i = int(pred[j])
         row_of_col[j] = i

@@ -7,9 +7,9 @@ Two independent methods compute the same integer price vector:
   unique minimal stable fixed point.  Each sweep reads only the arcs
   that can still raise a utility.
 * :func:`prices_bellman_ford` solves the equivalent shortest-path
-  problem on an explicit arc-list network (a virtual source connected to
-  every item node, plus one arc per ordered item pair) by synchronous
-  relaxation passes; utilities are the negated distances.
+  problem (a virtual source connected to every item node, plus one arc
+  per ordered item pair) by synchronous relaxation passes, each a dense
+  row minimum over the gap matrix; utilities are the negated distances.
 
 Stability means y[j] >= y[k] + gaps[j][k] for all j != k: no item's
 winner could gain by taking another item at that item's price.  Prices
@@ -162,7 +162,10 @@ def prices_bellman_ford(
     Nodes are a virtual source plus one node per item; the source reaches
     every node at cost zero and each ordered pair (k, j) carries an arc of
     weight -gaps[j][k].  Distances start at zero (source arcs pre-relaxed)
-    and every pass relaxes the full arc list; utilities are y = -d.
+    and every pass relaxes every arc at once from the previous pass's
+    distances: d'[j] = min over k of d[k] - gaps[j][k], where the k = j
+    term is d[j] itself because the diagonal is zero.  Utilities are
+    y = -d.
 
     A pass that still relaxes after the n - 1 passes sufficient for any
     negative-cycle-free network means a negative cycle is reachable, i.e.
@@ -170,18 +173,13 @@ def prices_bellman_ford(
     """
     _check_sizes(u, vp)
     n = u.n
-    idx = np.arange(n)
-    offdiag = ~np.eye(n, dtype=bool)
-    heads = np.repeat(idx, n - 1)
-    tails = np.tile(idx, (n, 1))[offdiag]
-    weights = (-u.gaps)[offdiag]
-
+    gaps = u.gaps
+    work = np.empty_like(gaps)
     d = np.zeros(n, dtype=np.int64)
     passes = 0
     while True:
-        cand = d[tails] + weights
-        d_next = d.copy()
-        np.minimum.at(d_next, heads, cand)
+        np.subtract(d[np.newaxis, :], gaps, out=work)
+        d_next = work.min(axis=1)
         if np.array_equal(d_next, d):
             break
         passes += 1

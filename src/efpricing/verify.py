@@ -62,9 +62,10 @@ def check_envy_free(v: ValuationMatrix, a: Allocation, p: PriceVector) -> EnvyRe
     pmax = int(prices.max())
     if int(values.max()) - int(prices.min()) + max(pmax, 0) > INT64_MAX:
         values, prices = values.astype(object), prices.astype(object)
-    utilities = values - prices[np.newaxis, :]
-    own = utilities[np.arange(n), a.assignment]
-    gains = utilities - own[:, np.newaxis]
+    # gains starts as the utilities and becomes the gains in place.
+    gains = values - prices[np.newaxis, :]
+    own = gains[np.arange(n), a.assignment]
+    gains -= own[:, np.newaxis]
     violations = [
         (int(i), int(j), int(gains[i, j]))
         for i, j in np.argwhere(gains > 0)
@@ -98,7 +99,8 @@ def raisable_consumers(v: ValuationMatrix, a: Allocation, p: PriceVector) -> lis
     surplus = v.values - p.p[np.newaxis, :]
     own = surplus[np.arange(n), a.assignment]
     # holders[j, i]: consumer i likes item j exactly as much as its own.
-    holders = np.ascontiguousarray((surplus == own[:, np.newaxis]).T)
+    holders = np.empty((n, n), dtype=bool)
+    np.equal(surplus.T, own[np.newaxis, :], out=holders)
     reached = own == 0
     frontier = a.assignment[reached].tolist()
     while frontier:

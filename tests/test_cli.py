@@ -8,7 +8,7 @@ import pytest
 
 import efpricing
 from efpricing import SolutionRecord, read_solution
-from efpricing.cli import CSV_HEADER, main
+from efpricing.cli import CSV_HEADER, main, student_t_quantile
 
 
 def run_cli(*argv):
@@ -241,9 +241,17 @@ class TestBench:
         assert run_cli("bench", "--sizes", "0", "--trials", "2") == 2
 
 
+def test_student_t_quantile_matches_scipy():
+    from scipy.stats import t
+
+    for q in (0.9, 0.95, 0.975, 0.995):
+        for df in range(1, 201):
+            assert student_t_quantile(q, df) == pytest.approx(t.ppf(q, df), rel=1e-5)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # Every command pays for what importing the CLI loads; scipy alone
-    # costs most of a second, and only bench needs it.
+    # costs most of a second, and the package does not depend on it.
     src = str(Path(efpricing.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, efpricing.cli; print('scipy' in sys.modules)"

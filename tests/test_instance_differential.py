@@ -3,7 +3,8 @@
 ``reference_parse`` and ``reference_serialize`` are the reader and writer
 as they were before the I/O layer moved to numpy.  Every text must give
 the same matrix, or a ParseError with the same message, and every matrix
-the same bytes.
+the same bytes.  The streamed file reader, ``read_instance``, must in turn
+give what ``parse`` gives on the file's text.
 """
 
 import hashlib
@@ -13,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efpricing import ParseError, ValuationMatrix, generate, parse, serialize, write_instance
+from efpricing import (
+    ParseError,
+    ValuationMatrix,
+    generate,
+    parse,
+    read_instance,
+    serialize,
+    write_instance,
+)
 from efpricing import instance
 from efpricing.core import max_entry_for
 
@@ -197,3 +206,112 @@ def test_generated_instance_digest():
     # Taken from the per-row writer, before serialize moved to numpy.
     digest = hashlib.sha256(serialize(generate(50, 7)).encode()).hexdigest()
     assert digest == "0b0495cb5a86d919a5cb5e47a9bfc2e86ea0dfeeef64b08fffa3fb715a5a773a"
+
+
+def read_outcome(tmp_path, text):
+    """read_instance on text written as a file, as outcome() reports it."""
+    path = tmp_path / "instance.txt"
+    path.write_bytes(text.encode())
+    return outcome(lambda _: read_instance(path), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_texts())
+def test_read_instance_matches_parse(tmp_path_factory, text):
+    tmp_path = tmp_path_factory.mktemp("read")
+    assert read_outcome(tmp_path, text) == outcome(parse, text)
+
+
+def plain_text(n, seed=1):
+    return serialize(generate(n, seed))
+
+
+def replace_row(text, r, row):
+    lines = text.split("\n")
+    lines[r + 1] = row
+    return "\n".join(lines)
+
+
+#: Rows per block are _BLOCK // n, so one block holds n = 127 rows with
+#: two to spare, n = 128 rows exactly, and n = 129 rows but two.
+BOUNDARY_SIZES = [127, 128, 129]
+assert [instance._BLOCK // n - n for n in BOUNDARY_SIZES] == [2, 0, -2]
+
+
+@pytest.mark.parametrize("text", [
+    "2\n1\x0b2\n3 4\n",
+    "2\n1 2\x0c3 4\n",
+    "2\n1 2\n3\x1c4\n",
+    "2\n1 2\x1d3 4\n",
+    "2\n1 2\n3 4\x1e",
+    "2\n1 2\r3 4\r",
+    "2\r\n1 2\r\n3 4\r\n",
+    "2\n1 2\n3 4",
+    "2\n1 2\n3 4\n\n",
+    "2\n1 2\n3 4\n  ",
+    "2\n1 2\n  \n3 4\n",
+    "2\n   \n1 2\n",
+    "2\n\n\n",
+    "2\n      \n      \n",
+    "+3\n1 2 3\n4 5 6\n7 8 9\n",
+    " 3 \n1 2 3\n4 5 6\n7 8 9\n",
+    "3_0\n" + "1 " * 29 + "1\n",
+    " 2\n 01  2 \n3   004\n",
+    "0\n",
+    "1 2\n1\n",
+    "99999999999\n1\n",
+    "4" * 5000 + "\n1\n",
+    "2\n",
+    "2",
+    "",
+    "\n",
+    f"1\n{2**63}\n",
+    f"1\n{2**64 + 5}\n",
+    f"2\n{max_entry_for(2)} 0\n0 {max_entry_for(2) + 1}\n",
+    "3\n1 2 3\n4 5\n6 7 8\n",
+    "3\n1 2 3\n4 5 6 7\n8 9\n",
+    "2\n1\t2\n3 4\n",
+    "2\n1 2\n3 ٣\n",
+])
+@pytest.mark.filterwarnings("error")
+def test_read_instance_matches_parse_on_fixed_cases(tmp_path, text):
+    assert read_outcome(tmp_path, text) == outcome(parse, text)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+@pytest.mark.parametrize("fault", [
+    "none", "no final newline", "trailing blank line", "blank last row", "tab in last row",
+    "short last row", "over bound in last row", "missing last row",
+])
+def test_read_instance_matches_parse_at_block_boundaries(tmp_path, n, fault):
+    text = plain_text(n)
+    last = " ".join(["7"] * n)
+    if fault == "no final newline":
+        text = text[:-1]
+    elif fault == "trailing blank line":
+        text += "\n"
+    elif fault == "blank last row":
+        text = replace_row(text, n - 1, "")
+    elif fault == "tab in last row":
+        text = replace_row(text, n - 1, last.replace(" ", "\t", 1))
+    elif fault == "short last row":
+        text = replace_row(text, n - 1, last[2:])
+    elif fault == "over bound in last row":
+        text = replace_row(text, n - 1, last + "0" * 18)
+    elif fault == "missing last row":
+        text = text[: text.rindex("\n", 0, -1) + 1]
+    expected = outcome(parse, text)
+    assert read_outcome(tmp_path, text) == expected
+    assert (expected[0] == "ok") == (fault in ("none", "no final newline", "tab in last row"))
+
+
+def test_plain_files_are_streamed_not_parsed(tmp_path, monkeypatch):
+    def refuse(text):
+        raise AssertionError("a plain file was read whole")
+
+    monkeypatch.setattr(instance, "parse", refuse)
+    for n in (1, 2, *BOUNDARY_SIZES, 300):
+        v = generate(n, n, max_entry_for(n) if n < 3 else 10**6)
+        path = tmp_path / f"plain-{n}.txt"
+        write_instance(v, path)
+        assert np.array_equal(read_instance(path).values, v.values)

@@ -1,0 +1,115 @@
+"""Memory of the solve path: one valuation matrix, one gap matrix, O(n) besides.
+
+Peaks are taken with tracemalloc, above what is allocated when the call
+starts.  One small solve runs first, untraced, so that the imports and
+caches a first command fills (argparse's messages, locale tables) are
+not counted against the matrix.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from efpricing import (
+    Allocation,
+    UtilityGapMatrix,
+    ValuationMatrix,
+    build_gap_matrix,
+    generate,
+    read_instance,
+    reorder,
+    write_instance,
+)
+from efpricing.cli import main
+
+N = 300
+MATRIX_BYTES = N * N * 8
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated by fn(*args) at its peak, above the allocation at entry."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def solve(path, out):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+
+
+@pytest.fixture
+def instance_file(tmp_path):
+    warm = tmp_path / "warm.txt"
+    write_instance(generate(3, 1), warm)
+    solve(warm, tmp_path / "warm.json")
+    path = tmp_path / "instance.txt"
+    write_instance(generate(N, 23), path)
+    return path
+
+
+def test_solve_holds_about_two_matrices(instance_file, tmp_path):
+    peak = traced_peak(solve, instance_file, tmp_path / "solution.json")
+    assert peak <= 2.5 * MATRIX_BYTES
+
+
+def test_read_instance_holds_about_one_matrix(instance_file):
+    peak = traced_peak(read_instance, instance_file)
+    assert peak <= 1.5 * MATRIX_BYTES
+
+
+def test_reorder_builds_no_matrix():
+    v = generate(N, 5)
+    a = Allocation.from_assignment(v, np.random.default_rng(5).permutation(N))
+    assert traced_peak(reorder, v, a) <= MATRIX_BYTES / 20
+    vp = reorder(v, a)
+    assert traced_peak(build_gap_matrix, vp) <= 1.1 * MATRIX_BYTES
+
+
+@pytest.mark.parametrize("wrap, field", [
+    (ValuationMatrix, "values"),
+    (UtilityGapMatrix, "gaps"),
+])
+def test_an_owned_int64_array_is_taken_not_copied(wrap, field):
+    arr = np.zeros((4, 4), dtype=np.int64)
+    wrapped = getattr(wrap(arr), field)
+    assert np.shares_memory(wrapped, arr)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1
+
+
+@pytest.mark.parametrize("wrap, field", [
+    (ValuationMatrix, "values"),
+    (UtilityGapMatrix, "gaps"),
+])
+@pytest.mark.parametrize("make", [
+    lambda: np.zeros((6, 4), dtype=np.int64)[1:5],
+    lambda: np.zeros((4, 8), dtype=np.int64)[:, ::2],
+    lambda: np.zeros((4, 4), dtype=np.int64, order="F"),
+    lambda: np.zeros((4, 4), dtype=np.int32),
+    lambda: np.zeros((4, 4), dtype=np.uint64),
+    lambda: np.zeros((4, 4), dtype=">i8"),
+], ids=["row view", "strided view", "fortran order", "int32", "uint64", "big endian"])
+def test_other_input_is_copied(wrap, field, make):
+    arr = make()
+    wrapped = getattr(wrap(arr), field)
+    assert not np.shares_memory(wrapped, arr)
+    assert wrapped.dtype == np.int64 and not wrapped.flags.writeable
+    assert arr.flags.writeable
+
+
+def test_a_refused_array_stays_writeable():
+    arr = -np.ones((3, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ValuationMatrix(arr)
+    assert arr.flags.writeable

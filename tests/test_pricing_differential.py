@@ -6,6 +6,9 @@ sweep count and the sweep at which a non-optimal allocation is refused
 must be the same.  ``reference_minimality`` grows the reached set in
 rounds of dense n x n passes; ``minimality_certificate`` searches
 backwards from the zero set, and must give the same verdict.
+``reference_bellman_ford`` relaxes an explicit arc list;
+``prices_bellman_ford`` takes a dense row minimum per pass, and must
+give the same distances, passes and refusals.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from efpricing import (
     ValuationMatrix,
     build_gap_matrix,
     minimality_certificate,
+    prices_bellman_ford,
     prices_efpm,
     reorder,
     solve_assignment,
@@ -45,6 +49,31 @@ def reference_minimality(u, y):
             break
         reached = grown
     return bool(reached.all())
+
+
+def reference_bellman_ford(u):
+    """Bellman-Ford over the arc list (k -> j, weight -gaps[j][k], k != j).
+
+    Returns (y, passes), or (None, sweeps) where prices_bellman_ford
+    raises NonOptimalAllocation after that many passes.
+    """
+    n = u.n
+    idx = np.arange(n)
+    offdiag = ~np.eye(n, dtype=bool)
+    heads = np.repeat(idx, n - 1)
+    tails = np.tile(idx, (n, 1))[offdiag]
+    weights = (-u.gaps)[offdiag]
+    d = np.zeros(n, dtype=np.int64)
+    passes = 0
+    while True:
+        d_next = d.copy()
+        np.minimum.at(d_next, heads, d[tails] + weights)
+        if np.array_equal(d_next, d):
+            return -d, passes
+        passes += 1
+        if passes > n - 1:
+            return None, passes
+        d = d_next
 
 
 def priced(values, assignment=None):
@@ -202,3 +231,36 @@ def test_minimality_certificate_matches_the_round_loop(data):
     for vec in (start, y, y - y.min()):
         utilities = UtilityVector(y=vec, iterations_used=0)
         assert minimality_certificate(gaps, utilities) == reference_minimality(gaps, utilities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bellman_ford_matches_the_arc_list(data):
+    # Optimal allocations on random and extreme entries, and the lightest
+    # allocation, which makes both refuse after the same pass.
+    n = data.draw(st.integers(1, 7))
+    entries = data.draw(st.sampled_from(
+        [st.integers(0, 3), st.integers(0, 10**6), extreme_entries(n)]))
+    values = np.array(square(data.draw, entries, n), dtype=np.int64)
+    assignment = None
+    if n > 1 and data.draw(st.booleans()):
+        rows = np.arange(n)
+        assignment = list(min(itertools.permutations(range(n)),
+                              key=lambda p: int(values[rows, list(p)].sum())))
+    gaps, vp = priced(values, assignment)
+    expected = reference_bellman_ford(gaps)
+    try:
+        utilities, _ = prices_bellman_ford(gaps, vp)
+    except NonOptimalAllocation as exc:
+        assert (None, exc.sweeps) == expected
+        return
+    assert np.array_equal(utilities.y, expected[0])
+    assert utilities.iterations_used == expected[1]
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+def test_bellman_ford_matches_the_arc_list_on_chains(n):
+    gaps, vp = priced(chain(n, n, range(n), range(n)))
+    utilities, _ = prices_bellman_ford(gaps, vp)
+    assert (utilities.y.tolist(), utilities.iterations_used) == (
+        reference_bellman_ford(gaps)[0].tolist(), n - 1)
