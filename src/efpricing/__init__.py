@@ -4,6 +4,9 @@ The pipeline: find a revenue-optimal allocation as a maximum-weight
 perfect matching, reorder the valuation matrix by that allocation, build
 the utility-gap matrix, and raise buyer utilities to their minimal stable
 fixed point; prices are the winning valuations minus those utilities.
+
+The exhaustive oracles the tests check against live in
+:mod:`efpricing.oracles`, outside this API.
 """
 
 from .core import (
@@ -13,7 +16,6 @@ from .core import (
     UtilityGapMatrix,
     ValuationMatrix,
     build_gap_matrix,
-    check_cycle_nonpositivity,
     reorder,
 )
 from .instance import (
@@ -27,17 +29,16 @@ from .instance import (
     write_instance,
     write_solution,
 )
-from .matching import MatchingResult, brute_force_assignment, solve_assignment
+from .matching import MatchingResult, solve_assignment
 from .pricing import (
     NonOptimalAllocation,
     PriceVector,
     UtilityVector,
-    iterate_once,
     minimality_certificate,
     prices_bellman_ford,
     prices_efpm,
 )
-from .verify import EnvyReport, brute_force_max_revenue, check_envy_free, raisable_consumers
+from .verify import EnvyReport, check_envy_free, raisable_consumers
 
 __version__ = "0.1.0"
 
@@ -54,13 +55,9 @@ __all__ = [
     "UtilityGapMatrix",
     "UtilityVector",
     "ValuationMatrix",
-    "brute_force_assignment",
-    "brute_force_max_revenue",
     "build_gap_matrix",
-    "check_cycle_nonpositivity",
     "check_envy_free",
     "generate",
-    "iterate_once",
     "minimality_certificate",
     "parse",
     "prices_bellman_ford",
@@ -75,3 +72,21 @@ __all__ = [
     "write_solution",
     "__version__",
 ]
+
+_ORACLES = {
+    "brute_force_assignment",
+    "brute_force_max_revenue",
+    "check_cycle_nonpositivity",
+    "iterate_once",
+}
+
+
+def __getattr__(name):
+    # Callers written before the oracles moved, such as the benchmark's
+    # own checks, still reach them as attributes of the package; they
+    # are loaded only when one is asked for.
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

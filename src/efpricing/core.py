@@ -10,21 +10,25 @@ Index convention: rows are consumers, columns are items.  After an
 allocation is applied (:func:`reorder`), index i refers simultaneously to
 item i and to the consumer who won item i.
 
-Ownership: :class:`ValuationMatrix` and :class:`UtilityGapMatrix` wrap an
-int64, C-contiguous array that owns its data as it is, without a copy,
-and mark it read-only, so the caller's array can no longer be written.
-Any other input (a list, a view, a non-contiguous or non-int64 array) is
-copied first.  :func:`reorder` copies nothing either: a
-:class:`ReorderedValuation` holds the source matrix, the item-to-consumer
-order and the winning valuations, and builds its ``values`` on demand.
-:func:`build_gap_matrix` then gathers the rows and subtracts the winning
-valuations in place, so one solve holds the valuation matrix, the gap
-matrix and O(n) state besides.
+Ownership: :class:`ValuationMatrix`, and :class:`UtilityGapMatrix` for
+its source matrix, wrap an int64, C-contiguous array that owns its data
+as it is, without a copy, and mark it read-only, so the caller's array
+can no longer be written.  Any other input (a list, a view, a
+non-contiguous or non-int64 array) is copied first.
+
+No n x n integer array is derived from the matrix on the solve path.
+:func:`reorder` returns a :class:`ReorderedValuation` that holds the
+source matrix, the item-to-consumer order and the winning valuations,
+and :func:`build_gap_matrix` returns a :class:`UtilityGapMatrix` view
+over the same three arrays: their ``values`` and ``gaps`` are built
+only on demand, by test oracles.  The solver reads the source rows in
+blocks instead (:func:`row_blocks`), so one solve holds the valuation
+matrix and O(n) state besides, plus the matcher's n x n booleans and
+the arcs efpm keeps.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,15 @@ import numpy as np
 #: matrix, chosen so that any sum of n entries fits in signed 64 bits.
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
+
+#: The fewest entries in a block of the int64 rows that :func:`row_blocks`
+#: reads a matrix in: 64 KiB.  A pass that keeps part of what it reads
+#: (efpm's arcs, the checks' tight arcs) holds the block buffer besides,
+#: and numpy allocates a buffer of as many entries for each broadcasting
+#: operation on the block, so the block is kept well below a matrix of
+#: a few hundred rows.  Larger matrices are read in blocks of a 64th of
+#: them, so that a pass costs few numpy calls per row.
+_ROW_BLOCK = 1 << 13
 
 
 class InstanceTooLargeError(ValueError):
@@ -43,6 +56,29 @@ class InstanceTooLargeError(ValueError):
 def max_entry_for(n: int) -> int:
     """Largest per-entry value such that summing n entries cannot overflow."""
     return INT64_MAX // max(n, 1)
+
+
+def rows_per_block(n: int, itemsize: int = 8) -> int:
+    """Rows of an n x n matrix of itemsize-byte entries in one block.
+
+    A block takes as many bytes as max(``_ROW_BLOCK``, n * n // 64)
+    int64 entries.
+    """
+    return max(1, max(_ROW_BLOCK, n * n // 64) * 8 // itemsize // n)
+
+
+def row_blocks(matrix: np.ndarray, dtype=np.int64):
+    """Yield (first row, rows, scratch) for each block of matrix's rows.
+
+    Blocks are sized by :func:`rows_per_block`.  scratch has the block's
+    shape and the given dtype; it is a view of one buffer, reused by
+    every block and freed with the generator.
+    """
+    step = min(rows_per_block(matrix.shape[1], np.dtype(dtype).itemsize), matrix.shape[0])
+    buffer = np.empty((step, matrix.shape[1]), dtype=dtype)
+    for lo in range(0, matrix.shape[0], step):
+        rows = matrix[lo : lo + step]
+        yield lo, rows, buffer[: rows.shape[0]]
 
 
 def _owned_int64(arr) -> bool:
@@ -181,25 +217,51 @@ class UtilityGapMatrix:
     which item j's winner would prefer item k over their own item if item
     k were priced at its winner's full valuation.
 
-    The diagonal is identically zero.  When the source allocation is
-    welfare-optimal, every directed cycle over the gaps has nonpositive
-    sum, which is what makes the pricing fixed point finite.
+    Held as a view: gaps[j][k] = source[order[j]][k] - winning[k], where
+    order[j] is the row of item j's winner and winning[k] =
+    source[order[k]][k], so the diagonal is identically zero.  ``gaps``
+    is built anew, as a read-only n x n array, each time it is read; the
+    pricing methods read the source rows instead.  An explicit gap array
+    g is the view (g, identity, zeros).
+
+    When the source allocation is welfare-optimal, every directed cycle
+    over the gaps has nonpositive sum, which is what makes the pricing
+    fixed point finite.
     """
 
-    gaps: np.ndarray
+    source: np.ndarray
+    order: np.ndarray
+    winning: np.ndarray
 
     def __post_init__(self):
-        arr = self.gaps if _owned_int64(self.gaps) else np.array(self.gaps, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"gap matrix must be square, got shape {arr.shape}")
-        if np.any(np.diagonal(arr) != 0):
+        source = _as_int_matrix(self.source)
+        if source.ndim != 2 or source.shape[0] != source.shape[1]:
+            raise ValueError(f"gap matrix must be square, got shape {source.shape}")
+        n = source.shape[0]
+        order = np.array(self.order, dtype=np.int64)
+        winning = np.array(self.winning, dtype=np.int64)
+        if order.shape != (n,) or winning.shape != (n,):
+            raise ValueError(
+                f"order {order.shape} and winning {winning.shape} must have length {n}"
+            )
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("order must be a permutation of 0..n-1")
+        if not np.array_equal(source[order, np.arange(n)], winning):
             raise ValueError("gap matrix diagonal must be zero")
-        arr.flags.writeable = False
-        object.__setattr__(self, "gaps", arr)
+        for name, arr in (("source", source), ("order", order), ("winning", winning)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return self.gaps.shape[0]
+        return self.order.shape[0]
+
+    @property
+    def gaps(self) -> np.ndarray:
+        arr = np.take(self.source, self.order, axis=0)
+        arr -= self.winning
+        arr.flags.writeable = False
+        return arr
 
 
 def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:
@@ -219,39 +281,5 @@ def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:
 
 
 def build_gap_matrix(vp: ReorderedValuation) -> UtilityGapMatrix:
-    """Subtract each item's winning valuation from its column.
-
-    One gather of the reordered rows, then an in-place subtraction: the
-    gap matrix is the only n x n array made.
-    """
-    gaps = np.take(vp.source, vp.order, axis=0)
-    gaps -= vp.winning
-    return UtilityGapMatrix(gaps=gaps)
-
-
-def check_cycle_nonpositivity(u: UtilityGapMatrix, max_cycle_len: int) -> bool:
-    """Exhaustively test that every directed cycle of length at most
-    max_cycle_len has nonpositive gap sum.
-
-    A cycle (i1, ..., ir) is summed as gaps[i1][ir] + sum of
-    gaps[i(k+1)][ik], i.e. following arcs from each index to the next.
-    Exponential in max_cycle_len; intended as a certificate check on
-    small instances.
-    """
-    n = u.n
-    if max_cycle_len > n:
-        raise ValueError(f"max_cycle_len {max_cycle_len} exceeds matrix size {n}")
-    g = u.gaps
-    for r in range(2, max_cycle_len + 1):
-        for combo in itertools.combinations(range(n), r):
-            first = combo[0]
-            # Fix the smallest index first to enumerate each cyclic order once;
-            # both orientations of a cycle appear as distinct orderings.
-            for rest in itertools.permutations(combo[1:]):
-                cycle = (first,) + rest
-                total = g[cycle[0]][cycle[-1]]
-                for k in range(r - 1):
-                    total += g[cycle[k + 1]][cycle[k]]
-                if total > 0:
-                    return False
-    return True
+    """The gap matrix of vp, as an O(n) view over the same arrays."""
+    return UtilityGapMatrix(source=vp.source, order=vp.order, winning=vp.winning)

@@ -64,18 +64,20 @@ class ParseError(ValueError):
     """An instance or solution file does not match its documented format."""
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
 def _stream(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start .. start+count-1 of the SplitMix64 sequence for seed."""
-    base = np.uint64(seed & _MASK64)
-    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64(base + steps * np.uint64(_GOLDEN))
+    """Outputs start .. start+count-1 of the SplitMix64 sequence for seed.
+
+    Computed in place, modulo 2**64, in the array it returns.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
@@ -94,24 +96,35 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
         )
     span = max_value + 1
     count = n * n
-    draws = _stream(seed, 0, count)
     leftover = (1 << 64) % span
-    if leftover:
-        limit = np.uint64((1 << 64) - leftover)
-        pending = np.flatnonzero(draws >= limit)
-        cursor = count
-        while pending.size:
-            fresh = _stream(seed, cursor, pending.size)
-            cursor += pending.size
-            draws[pending] = fresh
-            pending = pending[fresh >= limit]
-    values = (draws % np.uint64(span)).reshape(n, n).astype(np.int64)
+    # Draws at or above limit are rejected; when span divides 2**64, none is.
+    limit = np.uint64((1 << 64) - leftover) if leftover else None
+    # Blocks of draws are reduced straight into the result; the positions
+    # of rejected draws are kept, in order, for the continuation.
+    values = np.empty((n, n), dtype=np.int64)
+    flat = values.reshape(-1)
+    rejected = [np.empty(0, dtype=np.int64)]
+    for start in range(0, count, _BLOCK):
+        draws = _stream(seed, start, min(_BLOCK, count - start))
+        if leftover:
+            rejected.append(start + np.flatnonzero(draws >= limit))
+        np.remainder(draws, np.uint64(span), out=draws)
+        flat[start : start + draws.size] = draws
+    pending = np.concatenate(rejected)
+    cursor = count
+    while pending.size:
+        fresh = _stream(seed, cursor, pending.size)
+        cursor += pending.size
+        accepted = fresh < limit
+        flat[pending[accepted]] = fresh[accepted] % np.uint64(span)
+        pending = pending[~accepted]
     return ValuationMatrix(values)
 
 
-#: Entries formatted per block by :func:`serialize`, and about the entries
-#: read per block by :func:`read_instance`.  Each entry takes a few dozen
-#: bytes of temporaries, so a block works in about 1 MiB.
+#: Entries drawn per block by :func:`generate` and formatted per block by
+#: :func:`serialize`, and about the entries read per block by
+#: :func:`read_instance`.  Each entry takes a few dozen bytes of
+#: temporaries, so a block works in about 1 MiB.
 _BLOCK = 1 << 14
 #: The bytes a streamed instance may hold; any other sends it to parse.
 _PLAIN = b"0123456789 \n"

@@ -42,25 +42,21 @@ would not fit: the only column a path can still reach there is free),
 so nothing wraps for any valid matrix.  h is the column dual returned
 with the matching.
 
-A factorial brute-force oracle is provided for cross-checking on small
-instances.
+The factorial brute-force oracle that cross-checks it on small
+instances lives in :mod:`efpricing.oracles`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import INT64_MAX, Allocation, InstanceTooLargeError, ValuationMatrix
+from .core import INT64_MAX, Allocation, ValuationMatrix, rows_per_block
 
 #: Augmenting row reduction steps allowed per row in each of its passes.
 ARR_STEPS_PER_ROW = 4
-
-#: Hard guard for the factorial oracle.
-BRUTE_FORCE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -112,8 +108,22 @@ def _reduce_columns(tight: np.ndarray) -> tuple[list[int], list[int]]:
     such row that is still free and stays free when there is none.
     """
     n = tight.shape[0]
-    first = tight.argmax(axis=0).tolist()
-    tied = (tight.sum(axis=0) > 1).tolist()
+    # Each column's first tight row and its count of tight rows, read in
+    # blocks of at most 255 rows, so that a uint8 count cannot wrap:
+    # argmax down the columns of the whole matrix would make a
+    # transposed copy of it.  argmax runs only on the columns that a
+    # block reaches first.
+    first = np.full(n, n, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    step = min(255, rows_per_block(n, itemsize=1))
+    for lo in range(0, n, step):
+        rows = tight[lo : lo + step].view(np.uint8)
+        hits = rows.sum(axis=0, dtype=np.uint8)
+        count += hits
+        cols = np.flatnonzero((first == n) & (hits > 0))
+        first[cols] = lo + rows[:, cols].argmax(axis=0)
+    first = first.tolist()
+    tied = (count > 1).tolist()
     row_free = np.ones(n, dtype=bool)
     row_of_col = [-1] * n
     col_of_row = [-1] * n
@@ -223,31 +233,3 @@ def _augment(values, h, row_of_col, col_of_row, root: int) -> None:
         col_of_row[i], j = j, col_of_row[i]
         if i == root:
             break
-
-
-def brute_force_assignment(v: ValuationMatrix) -> MatchingResult:
-    """Exact maximum by enumerating all n! assignments.
-
-    Among equal-weight maxima the lexicographically smallest assignment
-    is returned.  Guarded to n <= 10.
-    """
-    n = v.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(
-            f"brute-force enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got {n}"
-        )
-    rows = np.arange(n)
-    perms = itertools.permutations(range(n))
-    best_weight = -1
-    best = None
-    while True:
-        chunk = list(itertools.islice(perms, 40320))
-        if not chunk:
-            break
-        block = np.array(chunk, dtype=np.int64)
-        weights = v.values[rows, block].sum(axis=1)
-        k = int(np.argmax(weights))
-        if int(weights[k]) > best_weight:
-            best_weight = int(weights[k])
-            best = block[k]
-    return MatchingResult(allocation=Allocation(assignment=best, weight=best_weight))

@@ -1,0 +1,162 @@
+"""Exhaustive and dense oracles that the tests check the solver against.
+
+None of these is on the solve path, and most are exponential or
+factorial: they are meant for small instances.
+
+* :func:`brute_force_assignment` enumerates all n! assignments.
+* :func:`brute_force_max_revenue` enumerates every allocation and solves
+  each one's stability system by longest-path closure over its gap
+  matrix.
+* :func:`check_cycle_nonpositivity` sums every short directed cycle of a
+  gap matrix.
+* :func:`iterate_once` is one dense max-plus sweep of efpm.
+
+The last two read ``UtilityGapMatrix.gaps``, which builds the n x n gap
+matrix that the pricing methods themselves never hold.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from .core import Allocation, InstanceTooLargeError, UtilityGapMatrix, ValuationMatrix
+from .matching import MatchingResult
+
+#: Hard guard for the factorial assignment oracle.
+BRUTE_FORCE_LIMIT = 10
+
+#: Guard for the factorial revenue oracle.
+REVENUE_ORACLE_LIMIT = 6
+
+_NEG = -(2**62)
+
+
+def brute_force_assignment(v: ValuationMatrix) -> MatchingResult:
+    """Exact maximum by enumerating all n! assignments.
+
+    Among equal-weight maxima the lexicographically smallest assignment
+    is returned.  Guarded to n <= 10.
+    """
+    n = v.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLargeError(
+            f"brute-force enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got {n}"
+        )
+    rows = np.arange(n)
+    perms = itertools.permutations(range(n))
+    best_weight = -1
+    best = None
+    while True:
+        chunk = list(itertools.islice(perms, 40320))
+        if not chunk:
+            break
+        block = np.array(chunk, dtype=np.int64)
+        weights = v.values[rows, block].sum(axis=1)
+        k = int(np.argmax(weights))
+        if int(weights[k]) > best_weight:
+            best_weight = int(weights[k])
+            best = block[k]
+    return MatchingResult(allocation=Allocation(assignment=best, weight=best_weight))
+
+
+def brute_force_max_revenue(v: ValuationMatrix) -> int:
+    """Highest revenue over all (allocation, envy-free prices) pairs.
+
+    Enumerates every permutation; for each, takes the longest-path
+    closure of its gap matrix, which yields the minimal stable utilities
+    (and so the maximal prices) supported by that allocation, or reveals
+    a positive cycle meaning the allocation supports no envy-free prices.
+    Allocations whose maximal prices dip below zero are discarded.
+    """
+    n = v.n
+    if n > REVENUE_ORACLE_LIMIT:
+        raise InstanceTooLargeError(
+            f"revenue oracle limited to n <= {REVENUE_ORACLE_LIMIT}, got {n}"
+        )
+    # int64 is exact as long as no intermediate path sum can reach the
+    # -2**62 sentinel; fall back to Python-int (object) arithmetic for
+    # astronomically large valuations.
+    exact64 = int(v.values.max()) <= (2**61) // max(2 * n, 1)
+    rows = np.arange(n)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        assignment = np.array(perm, dtype=np.int64)
+        inv = np.empty(n, dtype=np.int64)
+        inv[assignment] = rows
+        vp = v.values[inv, :]
+        diag = np.diagonal(vp).copy()
+        gaps = vp - diag[np.newaxis, :]
+        revenue = _max_revenue_for_gaps(gaps, diag, exact64)
+        if revenue is not None and (best is None or revenue > best):
+            best = revenue
+    # The identity allocation always supports all-zero utilities when its
+    # gaps are nonpositive, and some allocation always does; still, guard.
+    if best is None:
+        raise AssertionError("no allocation admitted envy-free prices")
+    return best
+
+
+def _max_revenue_for_gaps(gaps, diag, exact64: bool):
+    """Minimal stable utilities for one allocation via longest paths.
+
+    Returns the revenue trace(V') - sum(y), or None when the allocation
+    admits no envy-free nonnegative price vector.
+    """
+    n = gaps.shape[0]
+    if exact64:
+        closure = gaps.astype(np.int64).copy()
+        neg = _NEG
+    else:
+        # tolist() boxes entries as arbitrary-precision Python ints.
+        closure = np.array(gaps.tolist(), dtype=object)
+        neg = -(10**30)
+    np.fill_diagonal(closure, neg)
+    for m in range(n):
+        through = closure[:, m : m + 1] + closure[m : m + 1, :]
+        np.maximum(closure, through, out=closure)
+    if (np.diagonal(closure) > 0).any():
+        return None  # positive cycle: stability system infeasible
+    y = np.maximum(closure.max(axis=1), 0)
+    prices = diag - y
+    if (prices < 0).any():
+        return None
+    return int(prices.sum())
+
+
+def check_cycle_nonpositivity(u: UtilityGapMatrix, max_cycle_len: int) -> bool:
+    """Exhaustively test that every directed cycle of length at most
+    max_cycle_len has nonpositive gap sum.
+
+    A cycle (i1, ..., ir) is summed as gaps[i1][ir] + sum of
+    gaps[i(k+1)][ik], i.e. following arcs from each index to the next.
+    Exponential in max_cycle_len; intended as a certificate check on
+    small instances.
+    """
+    n = u.n
+    if max_cycle_len > n:
+        raise ValueError(f"max_cycle_len {max_cycle_len} exceeds matrix size {n}")
+    g = u.gaps
+    for r in range(2, max_cycle_len + 1):
+        for combo in itertools.combinations(range(n), r):
+            first = combo[0]
+            # Fix the smallest index first to enumerate each cyclic order once;
+            # both orientations of a cycle appear as distinct orderings.
+            for rest in itertools.permutations(combo[1:]):
+                cycle = (first,) + rest
+                total = g[cycle[0]][cycle[-1]]
+                for k in range(r - 1):
+                    total += g[cycle[k + 1]][cycle[k]]
+                if total > 0:
+                    return False
+    return True
+
+
+def iterate_once(u: UtilityGapMatrix, y) -> np.ndarray:
+    """One max-plus sweep: y'[j] = max over k of y[k] + gaps[j][k].
+
+    The k = j term contributes y[j] + 0, so the result is pointwise >= y.
+    """
+    vec = np.asarray(y, dtype=np.int64)
+    return (u.gaps + vec[np.newaxis, :]).max(axis=1)

@@ -15,17 +15,34 @@ Stability means y[j] >= y[k] + gaps[j][k] for all j != k: no item's
 winner could gain by taking another item at that item's price.  Prices
 are then p[j] = winning_valuation[j] - y[j].
 
+Neither method builds the gap matrix.  Both read the valuation rows
+of a :class:`UtilityGapMatrix` view in blocks of rows
+(:func:`~efpricing.core.row_blocks`) into one reused buffer, and
+subtract the winning valuations there.  They work in consumer-row
+order: row i of the source is the row of the consumer who won some item
+j, and the tail k of an arc (j, k) is read as the utility of item k's
+winner, so the rows are never gathered into item order.
+
 efpm prunes its sweeps exactly.  It keeps a bound theta >= max(y) and
 the utilities y_r of the moment it last chose its arcs, and sweeps only
 the arcs (j, k) with gaps[j][k] > y_r[j] - theta.  While max(y) <= theta,
 a dropped arc gives y[k] + gaps[j][k] <= theta + y_r[j] - theta <= y[j],
 because utilities only rise, so it can never raise y[j]; the diagonal
 (gap 0 > y_r[j] - theta, as theta > max(y_r)) is always kept.  Every
-sweep therefore returns the vector the dense sweep would.  When max(y)
-passes theta, theta becomes 2 * max(y) and the arcs are chosen again
-with one n x n compare, so there are O(log max y) such rebuilds.  In
-the worst case every arc stays kept, and a sweep costs O(n^2) as the
-dense one does, with a larger constant; the O(n^3) bound stands.
+sweep therefore returns the vector the dense sweep would.
+
+The first time max(y) passes theta, one blocked pass finds the slack
+bound B = min over dropped arcs (j, k) of y_r[j] - gaps[j][k].  B >= theta,
+and while max(y) <= B a dropped arc gives y[k] + gaps[j][k] <= B +
+gaps[j][k] <= y_r[j] <= y[j] by the same argument, so the same arcs stay
+exact.  Only when max(y) passes B as well does theta become 2 * max(y)
+and the arcs get chosen again, with one blocked pass over the rows; so
+there are O(log max y) such rebuilds.  The bound is computed only when
+it is needed: a choice whose theta is never passed pays nothing for it.
+With gap entries in -M..M, M = ``max_entry_for(n)``, and utilities in
+0..(n - 1) * M, every y_r[j] - gaps[j][k] lies in -M..n * M, within
+int64.  In the worst case every arc stays kept, and a sweep costs O(n^2)
+as the dense one does, with a larger constant; the O(n^3) bound stands.
 
 Both methods require the allocation behind the gap matrix to be
 welfare-optimal.  On other inputs the gap matrix contains a positive
@@ -39,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT64_MAX, ReorderedValuation, UtilityGapMatrix
+from .core import INT64_MAX, ReorderedValuation, UtilityGapMatrix, row_blocks
 
 
 class NonOptimalAllocation(ValueError):
@@ -89,15 +106,6 @@ class PriceVector:
         object.__setattr__(self, "revenue", int(self.revenue))
 
 
-def iterate_once(u: UtilityGapMatrix, y) -> np.ndarray:
-    """One max-plus sweep: y'[j] = max over k of y[k] + gaps[j][k].
-
-    The k = j term contributes y[j] + 0, so the result is pointwise >= y.
-    """
-    vec = np.asarray(y, dtype=np.int64)
-    return (u.gaps + vec[np.newaxis, :]).max(axis=1)
-
-
 def prices_efpm(
     u: UtilityGapMatrix, vp: ReorderedValuation
 ) -> tuple[UtilityVector, PriceVector]:
@@ -113,11 +121,12 @@ def prices_efpm(
     an arc (j, k) is kept when gaps[j][k] > y_r[j] - theta, where y_r is
     y when the arcs were last chosen and theta > max(y_r); no dropped arc
     can raise y[j] while max(y) <= theta (see the module docstring), so
-    every iterate equals the dense sweep's.  Rebuild: when max(y) passes
-    theta, theta becomes 2 * max(y), capped at INT64_MAX, and the arcs
-    are chosen again.  Worst case: nearly every arc stays kept, and a
-    sweep costs O(n^2) as a dense one does, but about 1.5 to 2 times as
-    long.
+    every iterate equals the dense sweep's.  When max(y) passes theta,
+    the slack bound B >= theta of the current arcs is computed once;
+    when max(y) passes B too, theta becomes 2 * max(y), capped at
+    INT64_MAX, and the arcs are chosen again.  Worst case: nearly every
+    arc stays kept, and a sweep costs O(n^2) as a dense one does, but
+    about 1.5 to 2 times as long.
 
     With gap entries of at most M = max_entry_for(n) in magnitude, each
     sweep raises max(y) by at most M, so max(y) <= (n - 1) * M < INT64_MAX
@@ -127,11 +136,18 @@ def prices_efpm(
     """
     _check_sizes(u, vp)
     n = u.n
-    gaps = u.gaps
-    y = gaps.max(axis=1)
-    theta = 0
+    # The largest gap is max(y) after the first sweep.
+    top = int((u.source.max(axis=0) - u.winning).max())
+    if top == 0:
+        return _finish(vp, np.zeros(n, dtype=np.int64), 0)
+    # y[i] is the utility of the consumer of source row i; the arc tails
+    # are those consumers' rows, so y is put in item order only at the end.
+    y = np.empty(n, dtype=np.int64)
+    theta = 2 * top
+    arcs = _choose_arcs(u, y, theta, fill=True)
+    y_r, limit, bounded = y, theta, False
     iterations = 0
-    changed = bool((y > 0).any())
+    changed = True
     while changed:
         if iterations >= n - 1:
             raise NonOptimalAllocation(
@@ -140,18 +156,75 @@ def prices_efpm(
                 sweeps=iterations + 1,
             )
         top = int(y.max())
-        if top > theta:
+        if top > limit and not bounded:
+            limit, bounded = _slack_bound(u, y_r, theta), True
+        if top > limit:
             theta = min(2 * top, INT64_MAX)
-            arcs = np.flatnonzero(gaps > (y - theta)[:, np.newaxis])
-            weights = gaps.reshape(-1)[arcs]
-            tails = arcs % n
-            # Every row keeps its diagonal, so no segment is empty.
-            segments = np.searchsorted(arcs, np.arange(0, n * n, n))
-        y_next = np.maximum.reduceat(y[tails] + weights, segments)
+            arcs = _choose_arcs(u, y, theta)
+            y_r, limit, bounded = y, theta, False
+        weights, tails, segments = arcs
+        reach = y[tails]
+        reach += weights
+        y_next = np.maximum.reduceat(reach, segments)
         iterations += 1
         changed = bool((y_next != y).any())
         y = y_next
-    return _finish(vp, y, iterations)
+    return _finish(vp, y[u.order], iterations)
+
+
+def _choose_arcs(u: UtilityGapMatrix, y, theta: int, fill: bool = False):
+    """The arcs efpm keeps for y_r = y and theta, in row order.
+
+    Returns (weights, tails, segments): the kept gaps, the source row of
+    each arc's tail and the first arc of each row.  With ``fill``, y is
+    first filled with the row maxima, the first sweep from zero, block
+    by block as the rows are read.  The pass keeps only the arcs' flat
+    indices; their gaps are read again once its buffer is freed.
+    """
+    n = u.n
+    arcs = np.concatenate(_kept_arcs(u, y, theta, fill))
+    # Every row keeps its diagonal, so no segment is empty.
+    segments = np.searchsorted(arcs, np.arange(0, n * n, n))
+    weights = u.source.reshape(-1)[arcs]
+    cols = np.remainder(arcs, n, out=arcs)
+    weights -= u.winning[cols]
+    return weights, u.order[cols], segments
+
+
+def _kept_arcs(u: UtilityGapMatrix, y, theta: int, fill: bool) -> list:
+    """The flat indices of the kept arcs, one array per block of rows.
+
+    A function of its own, so that the block buffer is freed before the
+    arcs are joined.
+    """
+    arcs = []
+    for lo, gaps in _gap_rows(u):
+        y_r = y[lo : lo + len(gaps)]
+        if fill:
+            gaps.max(axis=1, out=y_r)
+        kept = np.flatnonzero(gaps > (y_r - theta)[:, np.newaxis])
+        kept += lo * u.n
+        arcs.append(kept)
+    return arcs
+
+
+def _slack_bound(u: UtilityGapMatrix, y_r, theta: int) -> int:
+    """The slack bound B of the arcs chosen for y_r and theta.
+
+    B is the least y_r[j] - gaps[j][k] over the dropped arcs, those with
+    y_r[j] - gaps[j][k] >= theta; INT64_MAX when every arc is kept.
+    """
+    bound = INT64_MAX
+    for lo, gaps in _gap_rows(u):
+        slack = np.subtract(y_r[lo : lo + len(gaps), np.newaxis], gaps, out=gaps)
+        bound = min(bound, int(slack.min(where=slack >= theta, initial=INT64_MAX)))
+    return bound
+
+
+def _gap_rows(u: UtilityGapMatrix):
+    """(first row, gap rows) per block of source rows, in one reused buffer."""
+    for lo, rows, out in row_blocks(u.source):
+        yield lo, np.subtract(rows, u.winning, out=out)
 
 
 def prices_bellman_ford(
@@ -173,13 +246,17 @@ def prices_bellman_ford(
     """
     _check_sizes(u, vp)
     n = u.n
-    gaps = u.gaps
-    work = np.empty_like(gaps)
+    # d[i] is the distance of the consumer of source row i.
     d = np.zeros(n, dtype=np.int64)
+    d_next = np.empty_like(d)
     passes = 0
     while True:
-        np.subtract(d[np.newaxis, :], gaps, out=work)
-        d_next = work.min(axis=1)
+        # With d_k the distance of item k, d_k - gaps[j][k] is
+        # (d_k + winning[k]) - source[row of j's winner][k]; d_k lies in
+        # -(n - 1) * M..0 before every pass, so nothing wraps.
+        reach = d[u.order] + u.winning
+        for lo, rows, out in row_blocks(u.source):
+            np.subtract(reach, rows, out=out).min(axis=1, out=d_next[lo : lo + len(rows)])
         if np.array_equal(d_next, d):
             break
         passes += 1
@@ -190,8 +267,8 @@ def prices_bellman_ford(
                 "is not revenue-optimal",
                 sweeps=passes,
             )
-        d = d_next
-    return _finish(vp, -d, passes)
+        d, d_next = d_next, d
+    return _finish(vp, -d[u.order], passes)
 
 
 def minimality_certificate(u: UtilityGapMatrix, y: UtilityVector) -> bool:
@@ -202,22 +279,33 @@ def minimality_certificate(u: UtilityGapMatrix, y: UtilityVector) -> bool:
     must bottom out at a zero-utility entry.  Equivalently: following
     tight arcs, every node reaches the zero set.  A reverse breadth-first
     search from the zero set finds the nodes that do, one level at a
-    time; each node enters one level, so each row of tight arcs is read
-    once and the check is O(n^2).  Returns False as well if the vector
+    time; each node enters one level, so each column of tight arcs is
+    read once and the check is O(n^2).  Returns False as well if the vector
     is not stable at all.
     """
     vec = np.asarray(y.y, dtype=np.int64)
-    # slack[k, j] = y[j] - y[k] - gaps[j][k]: zero when k holds j up.
-    slack = vec[np.newaxis, :] - vec[:, np.newaxis] - u.gaps.T
-    if slack.min() < 0:
-        return False
-    held = slack == 0
-    reached = vec == 0
-    frontier = np.flatnonzero(reached)
+    n = u.n
+    # In consumer-row order: row i's own utility, and item k's gap plus
+    # utility y[k] + gaps[j][k], which row i must not exceed.
+    own = np.empty(n, dtype=np.int64)
+    own[u.order] = vec
+    lifted = vec - u.winning
+    # tight[i, k]: item k holds up the item of row i's consumer.
+    tight = np.empty((n, n), dtype=bool)
+    for lo, rows, out in row_blocks(u.source):
+        block = np.add(rows, lifted, out=out)
+        own_rows = own[lo : lo + len(rows), np.newaxis]
+        if (block > own_rows).any():
+            return False
+        np.equal(block, own_rows, out=tight[lo : lo + len(rows)])
+    item_of = np.empty(n, dtype=np.int64)
+    item_of[u.order] = np.arange(n)
+    reached = own == 0
+    frontier = item_of[reached]
     while frontier.size:
-        newly = np.flatnonzero(held[frontier].any(axis=0) & ~reached)
+        newly = np.flatnonzero(tight[:, frontier].any(axis=1) & ~reached)
         reached[newly] = True
-        frontier = newly
+        frontier = item_of[newly]
     return bool(reached.all())
 
 

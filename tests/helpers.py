@@ -1,13 +1,17 @@
 """Shared helpers for the test suite."""
 
+import contextlib
+
 import numpy as np
 
 from efpricing import (
+    UtilityGapMatrix,
     ValuationMatrix,
     build_gap_matrix,
     reorder,
     solve_assignment,
 )
+from efpricing import core
 
 
 def random_matrix(rng, n, hi):
@@ -21,6 +25,23 @@ def run_pipeline(v, pricing_fn):
     gaps = build_gap_matrix(vp)
     utilities, prices = pricing_fn(gaps, vp)
     return result, vp, gaps, utilities, prices
+
+
+def explicit_gaps(rows):
+    """A gap matrix given entry by entry: the view (rows, identity, zeros)."""
+    n = len(rows)
+    return UtilityGapMatrix(source=rows, order=np.arange(n), winning=np.zeros(n, dtype=np.int64))
+
+
+@contextlib.contextmanager
+def blocks_of(entries):
+    """Run the blocked passes over matrix rows in blocks of about this many entries."""
+    saved = core._ROW_BLOCK
+    core._ROW_BLOCK = entries
+    try:
+        yield
+    finally:
+        core._ROW_BLOCK = saved
 
 
 def permutation_matrix(assignment):

@@ -15,8 +15,6 @@ from efpricing import (
     Allocation,
     NonOptimalAllocation,
     ValuationMatrix,
-    brute_force_assignment,
-    brute_force_max_revenue,
     build_gap_matrix,
     check_envy_free,
     generate,
@@ -28,6 +26,7 @@ from efpricing import (
     solve_assignment,
 )
 from efpricing.cli import main, run_bench
+from efpricing.oracles import brute_force_assignment, brute_force_max_revenue
 
 BASE_SEED = 20260808
 

@@ -259,3 +259,21 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_oracles_stay_out_of_the_api_but_within_reach():
+    # The exhaustive oracles are not exported and not loaded with the
+    # CLI, but the package still hands them out by name.
+    src = str(Path(efpricing.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, efpricing.cli; print('efpricing.oracles' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    from efpricing import oracles
+
+    for name in ("brute_force_assignment", "brute_force_max_revenue",
+                 "check_cycle_nonpositivity", "iterate_once"):
+        assert name not in efpricing.__all__
+        assert getattr(efpricing, name) is getattr(oracles, name)

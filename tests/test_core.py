@@ -3,13 +3,13 @@ import pytest
 
 from efpricing import (
     Allocation,
+    UtilityGapMatrix,
     ValuationMatrix,
-    brute_force_assignment,
     build_gap_matrix,
-    check_cycle_nonpositivity,
     reorder,
 )
 from efpricing.core import max_entry_for
+from efpricing.oracles import brute_force_assignment, check_cycle_nonpositivity
 
 from helpers import permutation_matrix, random_matrix
 
@@ -147,6 +147,42 @@ class TestGapMatrix:
         for j in range(6):
             for k in range(6):
                 assert gaps[j, k] == vp.values[j, k] - vp.values[k, k]
+
+
+class TestGapMatrixView:
+    def test_build_gap_matrix_copies_nothing(self):
+        v = ValuationMatrix(np.arange(16).reshape(4, 4))
+        vp = reorder(v, Allocation.from_assignment(v, [2, 0, 3, 1]))
+        u = build_gap_matrix(vp)
+        assert u.source is v.values
+        assert np.array_equal(u.order, vp.order) and np.array_equal(u.winning, vp.winning)
+
+    def test_gaps_are_built_anew_and_read_only(self):
+        v = ValuationMatrix([[5, 4], [1, 2]])
+        u = build_gap_matrix(reorder(v, Allocation.from_assignment(v, [0, 1])))
+        first = u.gaps
+        assert first is not u.gaps and np.array_equal(first, u.gaps)
+        with pytest.raises(ValueError):
+            first[0, 1] = 0
+
+    def test_explicit_gaps_are_the_identity_view(self):
+        gaps = [[0, 2], [-4, 0]]
+        u = UtilityGapMatrix(source=gaps, order=[0, 1], winning=[0, 0])
+        assert u.gaps.tolist() == gaps
+
+    def test_rejects_a_nonzero_diagonal(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            UtilityGapMatrix(source=[[1, 2], [3, 4]], order=[0, 1], winning=[1, 3])
+
+    def test_rejects_an_order_that_is_no_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            UtilityGapMatrix(source=[[0, 2], [3, 0]], order=[0, 0], winning=[0, 2])
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="length"):
+            UtilityGapMatrix(source=[[0, 2], [3, 0]], order=[0, 1, 2], winning=[0, 0])
+        with pytest.raises(ValueError, match="square"):
+            UtilityGapMatrix(source=[[0, 2, 1], [3, 0, 1]], order=[0, 1], winning=[0, 0])
 
 
 class TestCycleNonpositivity:

@@ -7,15 +7,15 @@ from scipy.optimize import linear_sum_assignment
 from efpricing import (
     InstanceTooLargeError,
     ValuationMatrix,
-    brute_force_assignment,
     build_gap_matrix,
     prices_efpm,
     reorder,
     solve_assignment,
 )
 from efpricing.core import max_entry_for
+from efpricing.oracles import brute_force_assignment
 
-from helpers import random_matrix
+from helpers import blocks_of, random_matrix
 
 
 def test_two_by_two_prefers_diagonal():
@@ -196,3 +196,18 @@ def test_extreme_entries_regression():
     res = solve_assignment(v)
     assert res.allocation.weight == brute_force_assignment(v).allocation.weight
     assert_dual_certificate(v, res)
+
+
+@pytest.mark.parametrize("family", [small_entries, constant_matrices, chains])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_blocks_leave_assignment_and_duals_unchanged(family, data):
+    # Column reduction reads the tight entries in row blocks; with blocks
+    # from one row to the whole matrix, every answer is the same.
+    v = ValuationMatrix(data.draw(family()))
+    res = solve_assignment(v)
+    with blocks_of(data.draw(st.integers(1, v.n * v.n), label="entries per block")):
+        blocked = solve_assignment(v)
+    assert np.array_equal(blocked.allocation.assignment, res.allocation.assignment)
+    for mine, other in zip(blocked.dual_potentials, res.dual_potentials):
+        assert np.array_equal(mine, other)

@@ -1,6 +1,9 @@
-"""Memory of the solve path: one valuation matrix, one gap matrix, O(n) besides.
+"""Memory of the solve path: about one valuation matrix and nothing n x n besides.
 
-Peaks are taken with tracemalloc, above what is allocated when the call
+The gap matrix is a view, and pricing and the checks read the matrix
+rows in blocks, so a solve or a verify holds the matrix, the blocks and
+what a layer keeps (efpm's arcs, the checks' n x n booleans).  Peaks are
+taken with tracemalloc, above what is allocated when the call
 starts.  One small solve runs first, untraced, so that the imports and
 caches a first command fills (argparse's messages, locale tables) are
 not counted against the matrix.
@@ -15,15 +18,18 @@ import pytest
 
 from efpricing import (
     Allocation,
-    UtilityGapMatrix,
     ValuationMatrix,
     build_gap_matrix,
     generate,
+    prices_efpm,
     read_instance,
     reorder,
+    solve_assignment,
     write_instance,
 )
 from efpricing.cli import main
+
+from helpers import explicit_gaps
 
 N = 300
 MATRIX_BYTES = N * N * 8
@@ -47,6 +53,11 @@ def solve(path, out):
         assert main(["solve", str(path), "--out", str(out)]) == 0
 
 
+def verify(path, solution):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(path), str(solution)]) == 0
+
+
 @pytest.fixture
 def instance_file(tmp_path):
     warm = tmp_path / "warm.txt"
@@ -57,9 +68,16 @@ def instance_file(tmp_path):
     return path
 
 
-def test_solve_holds_about_two_matrices(instance_file, tmp_path):
+def test_solve_holds_about_one_matrix(instance_file, tmp_path):
     peak = traced_peak(solve, instance_file, tmp_path / "solution.json")
-    assert peak <= 2.5 * MATRIX_BYTES
+    assert peak <= 1.5 * MATRIX_BYTES
+
+
+def test_verify_holds_about_one_matrix(instance_file, tmp_path):
+    solution = tmp_path / "solution.json"
+    solve(instance_file, solution)
+    verify(instance_file, solution)
+    assert traced_peak(verify, instance_file, solution) <= 1.5 * MATRIX_BYTES
 
 
 def test_read_instance_holds_about_one_matrix(instance_file):
@@ -72,12 +90,19 @@ def test_reorder_builds_no_matrix():
     a = Allocation.from_assignment(v, np.random.default_rng(5).permutation(N))
     assert traced_peak(reorder, v, a) <= MATRIX_BYTES / 20
     vp = reorder(v, a)
-    assert traced_peak(build_gap_matrix, vp) <= 1.1 * MATRIX_BYTES
+    assert traced_peak(build_gap_matrix, vp) <= MATRIX_BYTES / 20
+
+
+def test_efpm_holds_a_fraction_of_a_matrix():
+    v = generate(N, 5)
+    vp = reorder(v, solve_assignment(v).allocation)
+    gaps = build_gap_matrix(vp)
+    assert traced_peak(prices_efpm, gaps, vp) <= 0.3 * MATRIX_BYTES
 
 
 @pytest.mark.parametrize("wrap, field", [
     (ValuationMatrix, "values"),
-    (UtilityGapMatrix, "gaps"),
+    (explicit_gaps, "source"),
 ])
 def test_an_owned_int64_array_is_taken_not_copied(wrap, field):
     arr = np.zeros((4, 4), dtype=np.int64)
@@ -90,7 +115,7 @@ def test_an_owned_int64_array_is_taken_not_copied(wrap, field):
 
 @pytest.mark.parametrize("wrap, field", [
     (ValuationMatrix, "values"),
-    (UtilityGapMatrix, "gaps"),
+    (explicit_gaps, "source"),
 ])
 @pytest.mark.parametrize("make", [
     lambda: np.zeros((6, 4), dtype=np.int64)[1:5],

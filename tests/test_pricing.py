@@ -4,11 +4,9 @@ import pytest
 from efpricing import (
     Allocation,
     NonOptimalAllocation,
-    UtilityGapMatrix,
     UtilityVector,
     ValuationMatrix,
     build_gap_matrix,
-    iterate_once,
     minimality_certificate,
     prices_bellman_ford,
     prices_efpm,
@@ -16,7 +14,9 @@ from efpricing import (
     solve_assignment,
 )
 
-from helpers import random_matrix, reference_efpm, run_pipeline
+from efpricing.oracles import iterate_once
+
+from helpers import explicit_gaps, random_matrix, reference_efpm, run_pipeline
 
 ALL_METHODS = [prices_efpm, prices_bellman_ford]
 
@@ -31,15 +31,15 @@ def reordered_pair(values, assignment=None):
 
 class TestIterateOnce:
     def test_single_sweep_example(self):
-        gaps = UtilityGapMatrix([[0, 2], [-4, 0]])
+        gaps = explicit_gaps([[0, 2], [-4, 0]])
         assert iterate_once(gaps, [0, 0]).tolist() == [2, 0]
 
     def test_fixed_point_is_unchanged(self):
-        gaps = UtilityGapMatrix([[0, 2], [-4, 0]])
+        gaps = explicit_gaps([[0, 2], [-4, 0]])
         assert iterate_once(gaps, [2, 0]).tolist() == [2, 0]
 
     def test_nonpositive_gaps_keep_zero(self):
-        gaps = UtilityGapMatrix([[0, -1], [-2, 0]])
+        gaps = explicit_gaps([[0, -1], [-2, 0]])
         assert iterate_once(gaps, [0, 0]).tolist() == [0, 0]
 
     def test_monotone_and_stable_after_sweep(self):
@@ -152,25 +152,25 @@ class TestConvergedProperties:
 
 class TestMinimalityCertificate:
     def test_certifies_converged_vector(self):
-        gaps = UtilityGapMatrix([[0, 2], [-4, 0]])
+        gaps = explicit_gaps([[0, 2], [-4, 0]])
         assert minimality_certificate(gaps, UtilityVector(y=[2, 0], iterations_used=0))
 
     def test_rejects_stable_but_inflated_vector(self):
-        gaps = UtilityGapMatrix([[0, 2], [-4, 0]])
+        gaps = explicit_gaps([[0, 2], [-4, 0]])
         assert not minimality_certificate(gaps, UtilityVector(y=[3, 0], iterations_used=0))
 
     def test_all_zero_is_vacuously_minimal(self):
-        gaps = UtilityGapMatrix([[0, -1], [-2, 0]])
+        gaps = explicit_gaps([[0, -1], [-2, 0]])
         assert minimality_certificate(gaps, UtilityVector(y=[0, 0], iterations_used=0))
 
     def test_rejects_unstable_vector(self):
-        gaps = UtilityGapMatrix([[0, 2], [-4, 0]])
+        gaps = explicit_gaps([[0, 2], [-4, 0]])
         assert not minimality_certificate(gaps, UtilityVector(y=[0, 0], iterations_used=0))
 
     def test_rejects_uniform_lift_held_up_by_a_tight_cycle(self):
         # Stable and every positive entry has a tight arc, but the tight
         # arcs only form a cycle: nothing anchors the vector at zero.
-        gaps = UtilityGapMatrix([[0, 0], [0, 0]])
+        gaps = explicit_gaps([[0, 0], [0, 0]])
         assert not minimality_certificate(gaps, UtilityVector(y=[1, 1], iterations_used=0))
 
 

@@ -9,6 +9,10 @@ backwards from the zero set, and must give the same verdict.
 ``reference_bellman_ford`` relaxes an explicit arc list;
 ``prices_bellman_ford`` takes a dense row minimum per pass, and must
 give the same distances, passes and refusals.
+
+The methods read the valuation rows in blocks; the ``blocked`` tests
+draw the rows a block holds, from one to all of them, so that block
+boundaries fall anywhere.
 """
 
 import itertools
@@ -32,7 +36,9 @@ from efpricing import (
 )
 from efpricing.core import max_entry_for
 
-from helpers import reference_efpm
+from efpricing import pricing
+
+from helpers import blocks_of, reference_efpm
 
 
 def reference_minimality(u, y):
@@ -264,3 +270,95 @@ def test_bellman_ford_matches_the_arc_list_on_chains(n):
     utilities, _ = prices_bellman_ford(gaps, vp)
     assert (utilities.y.tolist(), utilities.iterations_used) == (
         reference_bellman_ford(gaps)[0].tolist(), n - 1)
+
+
+def assert_bellman_ford_matches_reference(gaps, vp):
+    expected = reference_bellman_ford(gaps)
+    try:
+        utilities, _ = prices_bellman_ford(gaps, vp)
+    except NonOptimalAllocation as exc:
+        assert (None, exc.sweeps) == expected
+        return
+    assert np.array_equal(utilities.y, expected[0])
+    assert utilities.iterations_used == expected[1]
+
+
+def assert_blocked_methods_match(data, gaps, vp):
+    """Both methods against their references, with blocks of 1..n rows."""
+    n = gaps.n
+    rows = data.draw(st.integers(1, n), label="rows per block")
+    with blocks_of(rows * n):
+        result = assert_efpm_matches_reference(gaps, vp)
+        assert_bellman_ford_matches_reference(gaps, vp)
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocked_methods_match_the_dense_loops_on_random_entries(data):
+    hi = data.draw(st.sampled_from([3, 10, 10**6]))
+    n = data.draw(st.integers(1, 14))
+    assert_blocked_methods_match(data, *priced(square(data.draw, st.integers(0, hi), n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocked_methods_match_the_dense_loops_at_the_entry_bound(data):
+    n = data.draw(st.integers(1, 8))
+    assert_blocked_methods_match(data, *priced(square(data.draw, extreme_entries(n), n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocked_methods_refuse_worst_weight_allocations_at_the_same_sweep(data):
+    n = data.draw(st.integers(2, 6))
+    entries = data.draw(st.sampled_from(
+        [st.integers(0, 3), st.integers(0, 10**6), extreme_entries(n)]))
+    values = np.array(square(data.draw, entries, n), dtype=np.int64)
+    rows = np.arange(n)
+    worst = min(itertools.permutations(range(n)),
+                key=lambda p: int(values[rows, list(p)].sum()))
+    assert_blocked_methods_match(data, *priced(values, list(worst)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_blocked_methods_match_the_dense_loops_on_chains(data):
+    # drop >= 3 * step puts the arc that lifts y[0] below the first
+    # choice's threshold, so the slack bound and a rebuild decide it.
+    n = data.draw(st.integers(2, 40))
+    step = data.draw(st.sampled_from([1, 7, 1000]))
+    drop = 0
+    if n >= 5 and data.draw(st.booleans()):
+        drop = data.draw(st.integers(3 * step, (n - 1) * step - 1))
+    values = chain(n, data.draw(st.integers(0, 2**32 - 1)),
+                   data.draw(st.permutations(range(n))), data.draw(st.permutations(range(n))),
+                   step, drop)
+    _, iterations = assert_blocked_methods_match(data, *priced(values))
+    assert iterations == n - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_blocked_methods_match_the_dense_loops_on_staircases(data):
+    n = data.draw(st.sampled_from([2, 3, 10, 33]))
+    y, _ = assert_blocked_methods_match(data, *priced(staircase(n), list(range(n))))
+    assert y.tolist() == list(range(n - 1, -1, -1))
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_the_slack_bound_spares_chains_every_rebuild(n, monkeypatch):
+    # theta starts at 2 and y climbs to n - 1, so doubling alone would
+    # choose the arcs again about log2(n) times; the other entries lie far
+    # below the chain, so the bound holds the first choice to the end.
+    choices = []
+    choose = pricing._choose_arcs
+
+    def counted(*args, **kwargs):
+        choices.append(args[2])
+        return choose(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "_choose_arcs", counted)
+    utilities, _ = prices_efpm(*priced(chain(n, n, range(n), range(n))))
+    assert utilities.iterations_used == n - 1
+    assert choices == [2]

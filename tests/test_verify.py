@@ -8,14 +8,14 @@ from efpricing import (
     InstanceTooLargeError,
     PriceVector,
     ValuationMatrix,
-    brute_force_max_revenue,
     check_envy_free,
     prices_efpm,
     raisable_consumers,
 )
 from efpricing.core import max_entry_for
+from efpricing.oracles import brute_force_max_revenue
 
-from helpers import random_matrix, run_pipeline
+from helpers import blocks_of, random_matrix, run_pipeline
 
 
 def price_vector(values):
@@ -198,3 +198,54 @@ class TestRaisableConsumers:
         assert (raisable == []) == (not any(cuts))
         if n <= 4:
             assert (raisable == []) == (lowered.revenue == brute_force_max_revenue(v))
+
+
+def reference_raisable(rows, assignment, prices):
+    """The consumers no tight chain links to a zero-utility one, in Python ints."""
+    n = len(rows)
+    owner = {assignment[i]: i for i in range(n)}
+    own = [rows[i][assignment[i]] - prices[assignment[i]] for i in range(n)]
+    reached = {i for i in range(n) if own[i] == 0}
+    grown = True
+    while grown:
+        grown = False
+        for i in range(n):
+            if i not in reached and any(
+                rows[i][j] - prices[j] == own[i] and owner[j] in reached for j in range(n)
+            ):
+                reached.add(i)
+                grown = True
+    return [i for i in range(n) if i not in reached]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_blocked_checks_match_python_integers(data):
+    # Blocks of 1..n rows.  Drawn prices near the int64 limits send
+    # check_envy_free to Python integers; lowered pipeline prices are
+    # mostly envy-free, so that raisable_consumers gets checked too.
+    n = data.draw(st.integers(1, 9))
+    m = max_entry_for(n)
+    entries = data.draw(st.sampled_from([st.integers(0, 3), st.sampled_from([0, m - 1, m])]))
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    v = ValuationMatrix(rows)
+    if data.draw(st.booleans(), label="pipeline prices"):
+        result, _, _, _, optimal = run_pipeline(v, prices_efpm)
+        assignment = result.allocation.assignment.tolist()
+        cuts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        prices = [int(p) - c for p, c in zip(optimal.p, cuts)]
+    else:
+        assignment = data.draw(st.permutations(range(n)))
+        prices = data.draw(st.lists(
+            st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1, m])),
+            min_size=n, max_size=n))
+    a = Allocation.from_assignment(v, assignment)
+    with blocks_of(data.draw(st.integers(1, n), label="rows per block") * n):
+        report = check_envy_free(v, a, price_vector(prices))
+        own = [rows[i][assignment[i]] - prices[assignment[i]] for i in range(n)]
+        gains = [(i, j, rows[i][j] - prices[j] - own[i]) for i in range(n) for j in range(n)]
+        assert report.violations == [(i, j, g) for i, j, g in gains if g > 0]
+        assert report.negative_utility_consumers == [i for i in range(n) if own[i] < 0]
+        if report.envy_free:
+            assert raisable_consumers(v, a, price_vector(prices)) == reference_raisable(
+                rows, assignment, prices)
