@@ -4,6 +4,7 @@ The pipeline: find a revenue-optimal allocation as a maximum-weight
 perfect matching, reorder the valuation matrix by that allocation, build
 the utility-gap matrix, and raise buyer utilities to their minimal stable
 fixed point; prices are the winning valuations minus those utilities.
+:func:`efpricing.cli.solve_and_price` runs it for the CLI's commands.
 
 The exhaustive oracles the tests check against live in
 :mod:`efpricing.oracles`, outside this API.
@@ -13,7 +14,6 @@ from .core import (
     Allocation,
     InstanceTooLargeError,
     ReorderedValuation,
-    UtilityGapMatrix,
     ValuationMatrix,
     build_gap_matrix,
     reorder,
@@ -52,7 +52,6 @@ __all__ = [
     "PriceVector",
     "ReorderedValuation",
     "SolutionRecord",
-    "UtilityGapMatrix",
     "UtilityVector",
     "ValuationMatrix",
     "build_gap_matrix",

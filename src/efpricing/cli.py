@@ -1,12 +1,17 @@
 """Command-line frontend: generate, solve, verify and benchmark.
 
-Benchmarking pairs the two pricing methods on identical inputs: each
-trial generates one instance, computes the optimal matching once, and
-then times each method on the same reordered matrix and gap matrix.
-Matching time is reported separately and never mixed into pricing time.
+``solve`` and ``bench`` run one pipeline, :func:`solve_and_price`: it
+matches an instance once and prices the one reordered view with each
+method asked for.  It reaches every layer through this module's names
+(``solve_assignment``, ``reorder``, ``build_gap_matrix`` and
+``PRICING_METHODS``), which the benchmark's tracing wraps.  Benchmarking
+pairs the pricing methods on identical inputs: each trial generates one
+instance and calls the pipeline once, so the matching runs once per
+trial and every method is timed on the same view.  Matching time is
+reported separately and never mixed into pricing time.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(a file that cannot be read or written included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Allocation, ValuationMatrix, build_gap_matrix, reorder
+from .core import Allocation, ReorderedValuation, ValuationMatrix, build_gap_matrix, reorder
 from .instance import (
     ParseError,
     SolutionRecord,
@@ -36,6 +41,7 @@ from .matching import solve_assignment
 from .pricing import (
     NonOptimalAllocation,
     PriceVector,
+    UtilityVector,
     prices_bellman_ford,
     prices_efpm,
 )
@@ -49,29 +55,33 @@ PRICING_METHODS = {
 CSV_HEADER = ["n", "method", "trial", "pricing_seconds", "matching_seconds", "iterations"]
 
 
-def solve_instance(v: ValuationMatrix, method: str):
-    """Full pipeline on one instance.
+@dataclass(frozen=True)
+class Solved:
+    """One instance matched once and priced by each method.
 
-    Returns (record, timings) where timings holds matching_seconds
-    (matching plus reorder/gap preprocessing) and pricing_seconds (the
-    pricing method alone, measured the same way the benchmark does).
+    priced maps each method to (utilities, prices, pricing seconds);
+    matching_seconds covers the matching and the reordered view.
     """
-    fn = PRICING_METHODS[method]
+
+    allocation: Allocation
+    view: ReorderedValuation
+    matching_seconds: float
+    priced: dict[str, tuple[UtilityVector, PriceVector, float]]
+
+
+def solve_and_price(v: ValuationMatrix, methods) -> Solved:
+    """The paper's pipeline: optimal matching, reordered view, pricing."""
     t0 = time.perf_counter()
-    result = solve_assignment(v)
-    vp = reorder(v, result.allocation)
+    allocation = solve_assignment(v).allocation
+    vp = reorder(v, allocation)
     gaps = build_gap_matrix(vp)
-    t1 = time.perf_counter()
-    utilities, prices = fn(gaps, vp)
-    t2 = time.perf_counter()
-    record = SolutionRecord(
-        n=v.n,
-        assignment=[int(x) for x in result.allocation.assignment],
-        prices=[int(x) for x in prices.p],
-        revenue=prices.revenue,
-        iterations_used=utilities.iterations_used,
-    )
-    return record, {"matching_seconds": t1 - t0, "pricing_seconds": t2 - t1}
+    matching_seconds = time.perf_counter() - t0
+    priced = {}
+    for method in methods:
+        t0 = time.perf_counter()
+        utilities, prices = PRICING_METHODS[method](gaps, vp)
+        priced[method] = (utilities, prices, time.perf_counter() - t0)
+    return Solved(allocation, vp, matching_seconds, priced)
 
 
 @dataclass(frozen=True)
@@ -117,51 +127,43 @@ def run_bench(
 
     Trial t of every size uses seed + t, so both methods always see the
     same inputs.  With warmup > 0, the first instance of each size is
-    priced that many extra times per method before any timing starts.
+    solved that many extra times, untimed, before any timing starts.
+    A method named twice is benchmarked once.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a confidence interval, got {trials}")
     if any(n < 1 for n in sizes):
         raise ValueError(f"sizes must be positive, got {sizes}")
+    methods = list(dict.fromkeys(methods))
     rows: list[BenchTrial] = []
     for n in sizes:
         for trial in range(trials):
             v = generate(n, seed + trial, max_value)
-            t0 = time.perf_counter()
-            matched = solve_assignment(v)
-            matching_seconds = time.perf_counter() - t0
-            vp = reorder(v, matched.allocation)
-            gaps = build_gap_matrix(vp)
             if trial == 0:
-                for method in methods:
-                    for _ in range(warmup):
-                        PRICING_METHODS[method](gaps, vp)
-            outcomes = {}
-            for method in methods:
-                t0 = time.perf_counter()
-                utilities, prices = PRICING_METHODS[method](gaps, vp)
-                elapsed = time.perf_counter() - t0
+                for _ in range(warmup):
+                    solve_and_price(v, methods)
+            solved = solve_and_price(v, methods)
+            for method, (utilities, _, seconds) in solved.priced.items():
                 rows.append(
                     BenchTrial(
                         n=n,
                         method=method,
                         trial=trial,
-                        pricing_seconds=elapsed,
-                        matching_seconds=matching_seconds,
+                        pricing_seconds=seconds,
+                        matching_seconds=solved.matching_seconds,
                         iterations=utilities.iterations_used,
                     )
                 )
-                outcomes[method] = (utilities, prices)
-            _check_agreement(outcomes, n, trial)
+            _check_agreement(solved.priced, n, trial)
         if progress is not None:
             progress(f"benchmarked n={n} ({trials} trials)")
     return _summarize(rows, methods)
 
 
-def _check_agreement(outcomes, n, trial):
-    if len(outcomes) < 2:
+def _check_agreement(priced, n, trial):
+    if len(priced) < 2:
         return
-    (m0, (u0, p0)), (m1, (u1, p1)) = list(outcomes.items())[:2]
+    (m0, (u0, p0, _)), (m1, (u1, p1, _)) = list(priced.items())[:2]
     if not (np.array_equal(u0.y, u1.y) and np.array_equal(p0.p, p1.p)):
         raise RuntimeError(
             f"methods {m0} and {m1} disagree on n={n} trial={trial}; "
@@ -328,7 +330,15 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     v = read_instance(args.instance)
-    record, timings = solve_instance(v, args.method)
+    solved = solve_and_price(v, [args.method])
+    utilities, prices, pricing_seconds = solved.priced[args.method]
+    record = SolutionRecord(
+        n=v.n,
+        assignment=[int(x) for x in solved.allocation.assignment],
+        prices=[int(x) for x in prices.p],
+        revenue=prices.revenue,
+        iterations_used=utilities.iterations_used,
+    )
     if args.out:
         write_solution(record, args.out)
     else:
@@ -336,8 +346,8 @@ def _cmd_solve(args) -> int:
     print(
         f"n={record.n} method={args.method} revenue={record.revenue} "
         f"iterations={record.iterations_used} "
-        f"matching_seconds={timings['matching_seconds']:.6f} "
-        f"pricing_seconds={timings['pricing_seconds']:.6f}",
+        f"matching_seconds={solved.matching_seconds:.6f} "
+        f"pricing_seconds={pricing_seconds:.6f}",
         file=sys.stderr,
     )
     return 0
@@ -419,13 +429,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonOptimalAllocation as exc:
+    except (NonOptimalAllocation, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

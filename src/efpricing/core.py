@@ -10,21 +10,22 @@ Index convention: rows are consumers, columns are items.  After an
 allocation is applied (:func:`reorder`), index i refers simultaneously to
 item i and to the consumer who won item i.
 
-Ownership: :class:`ValuationMatrix`, and :class:`UtilityGapMatrix` for
-its source matrix, wrap an int64, C-contiguous array that owns its data
-as it is, without a copy, and mark it read-only, so the caller's array
-can no longer be written.  Any other input (a list, a view, a
+Ownership: :class:`ValuationMatrix`, and :class:`ReorderedValuation`
+for its source matrix, wrap an int64, C-contiguous array that owns its
+data as it is, without a copy, and mark it read-only, so the caller's
+array can no longer be written.  Any other input (a list, a view, a
 non-contiguous or non-int64 array) is copied first.
 
 No n x n integer array is derived from the matrix on the solve path.
-:func:`reorder` returns a :class:`ReorderedValuation` that holds the
-source matrix, the item-to-consumer order and the winning valuations,
-and :func:`build_gap_matrix` returns a :class:`UtilityGapMatrix` view
-over the same three arrays: their ``values`` and ``gaps`` are built
-only on demand, by test oracles.  The solver reads the source rows in
-blocks instead (:func:`row_blocks`), so one solve holds the valuation
-matrix and O(n) state besides, plus the matcher's n x n booleans and
-the arcs efpm keeps.
+:func:`reorder` returns a :class:`ReorderedValuation`: one O(n) view
+that holds the source matrix, the item-to-consumer order and the
+winning valuations, and checks on construction that they fit together.
+It is both the reordered matrix and the utility-gap matrix, so
+:func:`build_gap_matrix` returns it unchanged.  Its ``values`` and
+``gaps`` are built only on demand, by test oracles.  The solver reads
+the source rows in blocks instead (:func:`row_blocks`), so one solve
+holds the valuation matrix and O(n) state besides, plus the matcher's
+n x n booleans and the arcs efpm keeps.
 """
 
 from __future__ import annotations
@@ -180,53 +181,23 @@ class Allocation:
 
 @dataclass(frozen=True)
 class ReorderedValuation:
-    """Valuation matrix with rows permuted by an allocation, built lazily.
+    """Valuation matrix with rows permuted by an allocation, and its gaps.
 
-    Row i of ``values`` is the valuation row of the consumer who received
-    item i, so the diagonal holds each item's winning valuation and the
-    trace equals the allocation weight.  Only the source matrix, the
-    item-to-consumer order and the winning valuations are kept; ``values``
-    is gathered anew, as a read-only n x n array, each time it is read.
-    """
+    Held as a view over three arrays: the source matrix, the
+    item-to-consumer order and the winning valuations, winning[k] =
+    source[order[k]][k].  Row i of ``values`` is the row of the consumer
+    who won item i, so its diagonal holds the winning valuations and
+    sums to the allocation weight.  ``gaps`` is the utility-gap matrix,
+    gaps[j][k] = values[j][k] - winning[k]: the amount by which item j's
+    winner would prefer item k over their own item if item k were
+    priced at its winner's full valuation; its diagonal is identically
+    zero.  Both are built anew, as read-only n x n arrays, each time
+    they are read; the pricing methods read the source rows instead.  An
+    explicit gap array g is the view (g, identity, zeros).
 
-    source: np.ndarray
-    order: np.ndarray
-    winning: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.order.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        arr = np.take(self.source, self.order, axis=0)
-        arr.flags.writeable = False
-        return arr
-
-    @property
-    def trace(self) -> int:
-        return int(self.winning.sum())
-
-    def winning_valuations(self) -> np.ndarray:
-        return self.winning
-
-
-@dataclass(frozen=True)
-class UtilityGapMatrix:
-    """Matrix of utility gaps between winners, gaps[j][k] = amount by
-    which item j's winner would prefer item k over their own item if item
-    k were priced at its winner's full valuation.
-
-    Held as a view: gaps[j][k] = source[order[j]][k] - winning[k], where
-    order[j] is the row of item j's winner and winning[k] =
-    source[order[k]][k], so the diagonal is identically zero.  ``gaps``
-    is built anew, as a read-only n x n array, each time it is read; the
-    pricing methods read the source rows instead.  An explicit gap array
-    g is the view (g, identity, zeros).
-
-    When the source allocation is welfare-optimal, every directed cycle
-    over the gaps has nonpositive sum, which is what makes the pricing
-    fixed point finite.
+    When the allocation is welfare-optimal, every directed cycle over
+    the gaps has nonpositive sum, which is what makes the pricing fixed
+    point finite.
     """
 
     source: np.ndarray
@@ -257,6 +228,12 @@ class UtilityGapMatrix:
         return self.order.shape[0]
 
     @property
+    def values(self) -> np.ndarray:
+        arr = np.take(self.source, self.order, axis=0)
+        arr.flags.writeable = False
+        return arr
+
+    @property
     def gaps(self) -> np.ndarray:
         arr = np.take(self.source, self.order, axis=0)
         arr -= self.winning
@@ -268,18 +245,16 @@ def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:
     """Permute rows of v so that row i belongs to the winner of item i.
 
     Equivalent to multiplying by the transpose of the allocation's
-    permutation matrix.  The trace of the result equals the allocation
-    weight.
+    permutation matrix.  The winning valuations of the result sum to the
+    allocation weight.
     """
     if a.n != v.n:
         raise ValueError(f"allocation size {a.n} does not match matrix size {v.n}")
     order = a.item_to_consumer()
     winning = v.values[order, np.arange(v.n)]
-    winning.flags.writeable = False
-    order.flags.writeable = False
     return ReorderedValuation(source=v.values, order=order, winning=winning)
 
 
-def build_gap_matrix(vp: ReorderedValuation) -> UtilityGapMatrix:
-    """The gap matrix of vp, as an O(n) view over the same arrays."""
-    return UtilityGapMatrix(source=vp.source, order=vp.order, winning=vp.winning)
+def build_gap_matrix(vp: ReorderedValuation) -> ReorderedValuation:
+    """The gap matrix of vp: vp itself, whose ``gaps`` it is."""
+    return vp

@@ -11,8 +11,8 @@ factorial: they are meant for small instances.
   gap matrix.
 * :func:`iterate_once` is one dense max-plus sweep of efpm.
 
-The last two read ``UtilityGapMatrix.gaps``, which builds the n x n gap
-matrix that the pricing methods themselves never hold.
+The last two read ``ReorderedValuation.gaps``, which builds the n x n
+gap matrix that the pricing methods themselves never hold.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .core import Allocation, InstanceTooLargeError, UtilityGapMatrix, ValuationMatrix
+from .core import Allocation, InstanceTooLargeError, ReorderedValuation, ValuationMatrix
 from .matching import MatchingResult
 
 #: Hard guard for the factorial assignment oracle.
@@ -125,7 +125,7 @@ def _max_revenue_for_gaps(gaps, diag, exact64: bool):
     return int(prices.sum())
 
 
-def check_cycle_nonpositivity(u: UtilityGapMatrix, max_cycle_len: int) -> bool:
+def check_cycle_nonpositivity(u: ReorderedValuation, max_cycle_len: int) -> bool:
     """Exhaustively test that every directed cycle of length at most
     max_cycle_len has nonpositive gap sum.
 
@@ -153,7 +153,7 @@ def check_cycle_nonpositivity(u: UtilityGapMatrix, max_cycle_len: int) -> bool:
     return True
 
 
-def iterate_once(u: UtilityGapMatrix, y) -> np.ndarray:
+def iterate_once(u: ReorderedValuation, y) -> np.ndarray:
     """One max-plus sweep: y'[j] = max over k of y[k] + gaps[j][k].
 
     The k = j term contributes y[j] + 0, so the result is pointwise >= y.

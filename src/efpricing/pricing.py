@@ -15,13 +15,23 @@ Stability means y[j] >= y[k] + gaps[j][k] for all j != k: no item's
 winner could gain by taking another item at that item's price.  Prices
 are then p[j] = winning_valuation[j] - y[j].
 
-Neither method builds the gap matrix.  Both read the valuation rows
-of a :class:`UtilityGapMatrix` view in blocks of rows
-(:func:`~efpricing.core.row_blocks`) into one reused buffer, and
-subtract the winning valuations there.  They work in consumer-row
-order: row i of the source is the row of the consumer who won some item
-j, and the tail k of an arc (j, k) is read as the utility of item k's
-winner, so the rows are never gathered into item order.
+Both methods are called as ``method(gaps, vp)``, the gap matrix and the
+reordered matrix of the paper's pipeline.  One
+:class:`~efpricing.core.ReorderedValuation` view is both
+(``build_gap_matrix(vp)`` returns ``vp``), so everything is read from the
+first argument, and a second argument that is not that same view
+raises ValueError: a pair of different views would price one market
+with another's winning valuations.  The two-argument shape stays so
+that callers holding the pair, the benchmark's tracing among them,
+keep passing it unchanged.
+
+Neither method builds the gap matrix.  Both read the valuation rows of
+the view in blocks of rows (:func:`~efpricing.core.row_blocks`) into
+one reused buffer, and subtract the winning valuations there.  They
+work in consumer-row order: row i of the source is the row of the
+consumer who won some item j, and the tail k of an arc (j, k) is read
+as the utility of item k's winner, so the rows are never gathered into
+item order.
 
 efpm prunes its sweeps exactly.  It keeps a bound theta >= max(y) and
 the utilities y_r of the moment it last chose its arcs, and sweeps only
@@ -56,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT64_MAX, ReorderedValuation, UtilityGapMatrix, row_blocks
+from .core import INT64_MAX, ReorderedValuation, row_blocks
 
 
 class NonOptimalAllocation(ValueError):
@@ -107,7 +117,7 @@ class PriceVector:
 
 
 def prices_efpm(
-    u: UtilityGapMatrix, vp: ReorderedValuation
+    u: ReorderedValuation, vp: ReorderedValuation
 ) -> tuple[UtilityVector, PriceVector]:
     """Utility-iteration pricing.
 
@@ -134,12 +144,12 @@ def prices_efpm(
     optimal: the capped theta still exceeds max(y), and y - theta does
     not wrap.
     """
-    _check_sizes(u, vp)
+    _check_same_view(u, vp)
     n = u.n
     # The largest gap is max(y) after the first sweep.
     top = int((u.source.max(axis=0) - u.winning).max())
     if top == 0:
-        return _finish(vp, np.zeros(n, dtype=np.int64), 0)
+        return _finish(u, np.zeros(n, dtype=np.int64), 0)
     # y[i] is the utility of the consumer of source row i; the arc tails
     # are those consumers' rows, so y is put in item order only at the end.
     y = np.empty(n, dtype=np.int64)
@@ -169,10 +179,10 @@ def prices_efpm(
         iterations += 1
         changed = bool((y_next != y).any())
         y = y_next
-    return _finish(vp, y[u.order], iterations)
+    return _finish(u, y[u.order], iterations)
 
 
-def _choose_arcs(u: UtilityGapMatrix, y, theta: int, fill: bool = False):
+def _choose_arcs(u: ReorderedValuation, y, theta: int, fill: bool = False):
     """The arcs efpm keeps for y_r = y and theta, in row order.
 
     Returns (weights, tails, segments): the kept gaps, the source row of
@@ -191,7 +201,7 @@ def _choose_arcs(u: UtilityGapMatrix, y, theta: int, fill: bool = False):
     return weights, u.order[cols], segments
 
 
-def _kept_arcs(u: UtilityGapMatrix, y, theta: int, fill: bool) -> list:
+def _kept_arcs(u: ReorderedValuation, y, theta: int, fill: bool) -> list:
     """The flat indices of the kept arcs, one array per block of rows.
 
     A function of its own, so that the block buffer is freed before the
@@ -208,7 +218,7 @@ def _kept_arcs(u: UtilityGapMatrix, y, theta: int, fill: bool) -> list:
     return arcs
 
 
-def _slack_bound(u: UtilityGapMatrix, y_r, theta: int) -> int:
+def _slack_bound(u: ReorderedValuation, y_r, theta: int) -> int:
     """The slack bound B of the arcs chosen for y_r and theta.
 
     B is the least y_r[j] - gaps[j][k] over the dropped arcs, those with
@@ -221,14 +231,14 @@ def _slack_bound(u: UtilityGapMatrix, y_r, theta: int) -> int:
     return bound
 
 
-def _gap_rows(u: UtilityGapMatrix):
+def _gap_rows(u: ReorderedValuation):
     """(first row, gap rows) per block of source rows, in one reused buffer."""
     for lo, rows, out in row_blocks(u.source):
         yield lo, np.subtract(rows, u.winning, out=out)
 
 
 def prices_bellman_ford(
-    u: UtilityGapMatrix, vp: ReorderedValuation
+    u: ReorderedValuation, vp: ReorderedValuation
 ) -> tuple[UtilityVector, PriceVector]:
     """Shortest-path baseline on the pricing network.
 
@@ -244,7 +254,7 @@ def prices_bellman_ford(
     negative-cycle-free network means a negative cycle is reachable, i.e.
     the allocation was not optimal.
     """
-    _check_sizes(u, vp)
+    _check_same_view(u, vp)
     n = u.n
     # d[i] is the distance of the consumer of source row i.
     d = np.zeros(n, dtype=np.int64)
@@ -268,10 +278,10 @@ def prices_bellman_ford(
                 sweeps=passes,
             )
         d, d_next = d_next, d
-    return _finish(vp, -d[u.order], passes)
+    return _finish(u, -d[u.order], passes)
 
 
-def minimality_certificate(u: UtilityGapMatrix, y: UtilityVector) -> bool:
+def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
     """Check that a stable utility vector cannot be lowered anywhere.
 
     Every entry with y[j] > 0 must be held up by a tight arc
@@ -309,12 +319,15 @@ def minimality_certificate(u: UtilityGapMatrix, y: UtilityVector) -> bool:
     return bool(reached.all())
 
 
-def _check_sizes(u: UtilityGapMatrix, vp: ReorderedValuation) -> None:
-    if u.n != vp.n:
-        raise ValueError(f"gap matrix size {u.n} does not match matrix size {vp.n}")
+def _check_same_view(u: ReorderedValuation, vp) -> None:
+    if vp is not u:
+        raise ValueError(
+            "the reordered matrix does not match the gap matrix: "
+            "pass build_gap_matrix(vp) and vp itself"
+        )
 
 
-def _finish(vp, y, iterations: int):
-    prices = vp.winning_valuations() - y
+def _finish(u: ReorderedValuation, y, iterations: int):
+    prices = u.winning - y
     utilities = UtilityVector(y=y, iterations_used=iterations)
     return utilities, PriceVector(p=prices, revenue=int(prices.sum()))

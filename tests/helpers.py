@@ -4,13 +4,7 @@ import contextlib
 
 import numpy as np
 
-from efpricing import (
-    UtilityGapMatrix,
-    ValuationMatrix,
-    build_gap_matrix,
-    reorder,
-    solve_assignment,
-)
+from efpricing import ReorderedValuation, ValuationMatrix
 from efpricing import core
 
 
@@ -18,19 +12,12 @@ def random_matrix(rng, n, hi):
     return ValuationMatrix(rng.integers(0, hi + 1, size=(n, n)))
 
 
-def run_pipeline(v, pricing_fn):
-    """Matching, reorder, gap matrix, then the given pricing method."""
-    result = solve_assignment(v)
-    vp = reorder(v, result.allocation)
-    gaps = build_gap_matrix(vp)
-    utilities, prices = pricing_fn(gaps, vp)
-    return result, vp, gaps, utilities, prices
-
-
 def explicit_gaps(rows):
     """A gap matrix given entry by entry: the view (rows, identity, zeros)."""
     n = len(rows)
-    return UtilityGapMatrix(source=rows, order=np.arange(n), winning=np.zeros(n, dtype=np.int64))
+    return ReorderedValuation(
+        source=rows, order=np.arange(n), winning=np.zeros(n, dtype=np.int64)
+    )
 
 
 @contextlib.contextmanager

@@ -25,7 +25,7 @@ from efpricing import (
     reorder,
     solve_assignment,
 )
-from efpricing.cli import main, run_bench
+from efpricing.cli import main, run_bench, solve_and_price
 from efpricing.oracles import brute_force_assignment, brute_force_max_revenue
 
 BASE_SEED = 20260808
@@ -45,15 +45,14 @@ def pipeline_batch():
         n = 2 + (i % 49)
         hi = 7 if i % 4 == 3 else 10**6
         v = generate(n, BASE_SEED + i, max_value=hi)
-        result = solve_assignment(v)
-        vp = reorder(v, result.allocation)
-        gaps = build_gap_matrix(vp)
-        ue, pe = prices_efpm(gaps, vp)
-        ub, pb = prices_bellman_ford(gaps, vp)
+        solved = solve_and_price(v, ["efpm", "bellman-ford"])
+        ue, pe, _ = solved.priced["efpm"]
+        ub, pb, _ = solved.priced["bellman-ford"]
+        gaps = solved.view
         records.append(
             {
                 "n": n,
-                "envy_free": check_envy_free(v, result.allocation, pe).envy_free,
+                "envy_free": check_envy_free(v, solved.allocation, pe).envy_free,
                 "y_equal": np.array_equal(ue.y, ub.y),
                 "p_equal": np.array_equal(pe.p, pb.p),
                 "revenue_equal": pe.revenue == pb.revenue,
@@ -101,10 +100,7 @@ def test_criterion_2_revenue_oracle_equivalence():
         n = 2 + (i % 5)
         hi = 9 if i % 3 == 2 else 10**6
         v = generate(n, BASE_SEED + 10_000 + i, max_value=hi)
-        result = solve_assignment(v)
-        vp = reorder(v, result.allocation)
-        gaps = build_gap_matrix(vp)
-        _, prices = prices_efpm(gaps, vp)
+        _, prices, _ = solve_and_price(v, ["efpm"]).priced["efpm"]
         assert prices.revenue == brute_force_max_revenue(v), f"instance {i} (n={n})"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"revenue oracle sweep took {elapsed:.1f}s"

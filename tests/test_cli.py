@@ -8,6 +8,7 @@ import pytest
 
 import efpricing
 from efpricing import SolutionRecord, read_solution
+from efpricing import cli
 from efpricing.cli import CSV_HEADER, main, student_t_quantile
 
 
@@ -87,6 +88,17 @@ class TestSolve:
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 2 3\n4 5 6\n")
         assert run_cli("solve", str(path)) == 2
+
+
+@pytest.mark.parametrize("command", ["solve DIR", "solve INST --out DIR", "verify INST DIR"])
+def test_a_directory_for_a_file_is_usage_error(command, instance_2x2, tmp_path, capsys):
+    # Exit 1 is verify's answer that a record is wrong; an unreadable or
+    # unwritable path is the caller's mistake, like a missing file.
+    names = {"DIR": str(tmp_path), "INST": str(instance_2x2)}
+    assert run_cli(*[names.get(word, word) for word in command.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestVerify:
@@ -215,6 +227,18 @@ class TestBench:
         # 2 sizes x 3 trials x 2 methods
         assert len(lines) == 1 + 12
 
+    @pytest.mark.parametrize("methods, listed", [
+        (["efpm", "efpm"], ["efpm"]),
+        (["efpm", "bellman-ford", "efpm"], ["efpm", "bellman-ford"]),
+    ])
+    def test_a_method_named_twice_runs_once(self, methods, listed, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", "10", "--trials", "2", "--out", str(out)]
+        assert run_cli(*argv, *[arg for m in methods for arg in ("--method", m)]) == 0
+        rows = capsys.readouterr().out.splitlines()[2 : 2 + len(listed)]
+        assert [row.split()[1:3] for row in rows] == [[m, "2"] for m in listed]
+        assert len(out.read_text().splitlines()) == 1 + 2 * len(listed)
+
     def test_single_method_has_no_reduction(self, capsys):
         code = run_cli("bench", "--sizes", "10", "--trials", "2", "--method", "efpm")
         assert code == 0
@@ -239,6 +263,24 @@ class TestBench:
     def test_bad_sizes_is_usage_error(self, capsys):
         assert run_cli("bench", "--sizes", "ten", "--trials", "2") == 2
         assert run_cli("bench", "--sizes", "0", "--trials", "2") == 2
+
+
+def test_the_solve_pipeline_runs_through_the_names_the_benchmark_traces(
+    instance_2x2, tmp_path, monkeypatch, capsys
+):
+    # perfbench times each layer by wrapping efpricing.cli's own names;
+    # a pipeline that reached the layers another way would leave its
+    # per-layer metrics at zero without failing.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import Tracer, instrument
+
+    tracer = Tracer()
+    with instrument(tracer, cli):
+        assert run_cli("solve", str(instance_2x2), "--out", str(tmp_path / "sol.json")) == 0
+    names = {s.name for s in tracer.spans}
+    assert {"matching.solve_assignment", "core.reorder", "pricing.prices_efpm"} <= names
+    args, _ = tracer.last["pricing.prices_efpm"]
+    assert len(args) == 2
 
 
 def test_student_t_quantile_matches_scipy():

@@ -4,19 +4,20 @@ import pytest
 from efpricing import (
     Allocation,
     NonOptimalAllocation,
+    ReorderedValuation,
     UtilityVector,
     ValuationMatrix,
     build_gap_matrix,
+    generate,
     minimality_certificate,
     prices_bellman_ford,
     prices_efpm,
     reorder,
-    solve_assignment,
 )
-
+from efpricing.cli import solve_and_price
 from efpricing.oracles import iterate_once
 
-from helpers import explicit_gaps, random_matrix, reference_efpm, run_pipeline
+from helpers import explicit_gaps, random_matrix, reference_efpm
 
 ALL_METHODS = [prices_efpm, prices_bellman_ford]
 
@@ -83,7 +84,7 @@ class TestPricesEfpm:
 
     def test_antidiagonal_market(self):
         v = ValuationMatrix([[0, 10], [10, 0]])
-        _, _, _, utilities, prices = run_pipeline(v, prices_efpm)
+        utilities, prices, _ = solve_and_price(v, ["efpm"]).priced["efpm"]
         assert utilities.y.tolist() == [0, 0]
         assert prices.revenue == 20
 
@@ -92,10 +93,11 @@ class TestPricesEfpm:
         for _ in range(40):
             n = int(rng.integers(1, 12))
             v = random_matrix(rng, n, 1000)
-            _, vp, gaps, utilities, _ = run_pipeline(v, prices_efpm)
+            solved = solve_and_price(v, ["efpm"])
+            utilities, _, _ = solved.priced["efpm"]
             y = np.zeros(n, dtype=np.int64)
             for _ in range(n):
-                y = iterate_once(gaps, y)
+                y = iterate_once(solved.view, y)
             assert np.array_equal(utilities.y, y)
 
 
@@ -120,8 +122,9 @@ class TestCrossMethod:
             n = int(rng.integers(2, 9))
             hi = int(rng.choice([2, 10, 10**6]))
             v = random_matrix(rng, n, hi)
-            _, vp, gaps, u1, p1 = run_pipeline(v, prices_efpm)
-            u2, p2 = prices_bellman_ford(gaps, vp)
+            solved = solve_and_price(v, ["efpm", "bellman-ford"])
+            u1, p1, _ = solved.priced["efpm"]
+            u2, p2, _ = solved.priced["bellman-ford"]
             assert np.array_equal(u1.y, u2.y)
             assert np.array_equal(p1.p, p2.p)
             assert p1.revenue == p2.revenue
@@ -129,13 +132,15 @@ class TestCrossMethod:
 
 
 class TestConvergedProperties:
-    @pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
-    def test_invariants_hold_at_convergence(self, pricing_fn):
+    @pytest.mark.parametrize("method", ["efpm", "bellman-ford"])
+    def test_invariants_hold_at_convergence(self, method):
         rng = np.random.default_rng(67)
         for _ in range(80):
             n = int(rng.integers(1, 25))
             v = random_matrix(rng, n, int(rng.choice([5, 10**6])))
-            _, vp, gaps, utilities, prices = run_pipeline(v, pricing_fn)
+            solved = solve_and_price(v, [method])
+            vp = gaps = solved.view
+            utilities, prices, _ = solved.priced[method]
             y = utilities.y
             assert utilities.iterations_used <= max(n - 1, 0)
             assert y.min() == 0
@@ -146,7 +151,7 @@ class TestConvergedProperties:
             diag = np.diagonal(vp.values)
             assert np.all(prices.p >= 0)
             assert np.all(prices.p <= diag)
-            assert prices.revenue == vp.trace - int(y.sum())
+            assert prices.revenue == int(vp.winning.sum()) - int(y.sum())
             assert minimality_certificate(gaps, utilities)
 
 
@@ -214,6 +219,19 @@ class TestNonOptimalDetection:
         _, vp3 = reordered_pair([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(ValueError, match="match"):
             prices_efpm(gaps, vp3)
+
+
+@pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
+def test_pricing_refuses_a_second_view_that_is_not_the_first(pricing_fn):
+    # Two markets of one size: the second one's winning valuations would
+    # price the first market wrongly, with no other sign of the mix-up.
+    vp1 = solve_and_price(generate(5, 1), []).view
+    vp2 = solve_and_price(generate(5, 2), []).view
+    with pytest.raises(ValueError, match="does not match"):
+        pricing_fn(build_gap_matrix(vp1), vp2)
+    twin = ReorderedValuation(vp1.source, vp1.order, vp1.winning)
+    with pytest.raises(ValueError, match="does not match"):
+        pricing_fn(vp1, twin)
 
 
 def _all_perms(n):

@@ -9,13 +9,19 @@ from efpricing import (
     PriceVector,
     ValuationMatrix,
     check_envy_free,
-    prices_efpm,
     raisable_consumers,
 )
+from efpricing.cli import solve_and_price
 from efpricing.core import max_entry_for
 from efpricing.oracles import brute_force_max_revenue
 
-from helpers import blocks_of, random_matrix, run_pipeline
+from helpers import blocks_of, random_matrix
+
+
+def efpm(v):
+    """The optimal allocation of v and its efpm prices."""
+    solved = solve_and_price(v, ["efpm"])
+    return solved.allocation, solved.priced["efpm"][1]
 
 
 def price_vector(values):
@@ -116,7 +122,7 @@ class TestBruteForceMaxRevenue:
             n = int(rng.integers(2, 7))
             hi = int(rng.choice([3, 12, 10**6]))
             v = random_matrix(rng, n, hi)
-            _, _, _, _, prices = run_pipeline(v, prices_efpm)
+            _, prices = efpm(v)
             assert prices.revenue == brute_force_max_revenue(v)
 
     def test_no_other_allocation_beats_pipeline_revenue(self):
@@ -125,7 +131,7 @@ class TestBruteForceMaxRevenue:
         rng = np.random.default_rng(79)
         for _ in range(50):
             v = random_matrix(rng, 5, 30)
-            result, _, _, _, prices = run_pipeline(v, prices_efpm)
+            allocation, prices = efpm(v)
             oracle = brute_force_max_revenue(v)
             assert prices.revenue == oracle
 
@@ -136,8 +142,8 @@ class TestPipelineEnvyFreeness:
         for _ in range(150):
             n = int(rng.integers(1, 20))
             v = random_matrix(rng, n, int(rng.choice([4, 10**6])))
-            result, _, _, _, prices = run_pipeline(v, prices_efpm)
-            assert check_envy_free(v, result.allocation, prices).envy_free
+            allocation, prices = efpm(v)
+            assert check_envy_free(v, allocation, prices).envy_free
 
     def test_tampered_price_breaks_envy_freeness(self):
         rng = np.random.default_rng(89)
@@ -145,11 +151,11 @@ class TestPipelineEnvyFreeness:
         for _ in range(40):
             n = int(rng.integers(2, 10))
             v = random_matrix(rng, n, 1000)
-            result, _, _, _, prices = run_pipeline(v, prices_efpm)
+            allocation, prices = efpm(v)
             bumped = prices.p.copy()
             j = int(rng.integers(0, n))
             bumped[j] += 1
-            report = check_envy_free(v, result.allocation, price_vector(bumped.tolist()))
+            report = check_envy_free(v, allocation, price_vector(bumped.tolist()))
             if not report.envy_free:
                 tampered_caught += 1
         # Raising any single optimal price must always create envy or a
@@ -189,12 +195,12 @@ class TestRaisableConsumers:
         rows = data.draw(st.lists(st.lists(st.integers(0, hi), min_size=n, max_size=n),
                                   min_size=n, max_size=n))
         v = ValuationMatrix(rows)
-        result, _, _, _, prices = run_pipeline(v, prices_efpm)
+        allocation, prices = efpm(v)
         cuts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         lowered = price_vector((prices.p - np.array(cuts)).tolist())
-        if not check_envy_free(v, result.allocation, lowered).envy_free:
+        if not check_envy_free(v, allocation, lowered).envy_free:
             return
-        raisable = raisable_consumers(v, result.allocation, lowered)
+        raisable = raisable_consumers(v, allocation, lowered)
         assert (raisable == []) == (not any(cuts))
         if n <= 4:
             assert (raisable == []) == (lowered.revenue == brute_force_max_revenue(v))
@@ -230,8 +236,8 @@ def test_blocked_checks_match_python_integers(data):
     rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
     v = ValuationMatrix(rows)
     if data.draw(st.booleans(), label="pipeline prices"):
-        result, _, _, _, optimal = run_pipeline(v, prices_efpm)
-        assignment = result.allocation.assignment.tolist()
+        allocation, optimal = efpm(v)
+        assignment = allocation.assignment.tolist()
         cuts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         prices = [int(p) - c for p, c in zip(optimal.p, cuts)]
     else:
