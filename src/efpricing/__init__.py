@@ -34,11 +34,10 @@ from .pricing import (
     NonOptimalAllocation,
     PriceVector,
     UtilityVector,
-    minimality_certificate,
     prices_bellman_ford,
     prices_efpm,
 )
-from .verify import EnvyReport, check_envy_free, raisable_consumers
+from .verify import EnvyReport, check_envy_free, minimality_certificate
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "parse",
     "prices_bellman_ford",
     "prices_efpm",
-    "raisable_consumers",
     "read_instance",
     "read_solution",
     "reorder",

@@ -45,7 +45,7 @@ from .pricing import (
     prices_bellman_ford,
     prices_efpm,
 )
-from .verify import check_envy_free, raisable_consumers
+from .verify import check_envy_free
 
 PRICING_METHODS = {
     "efpm": prices_efpm,
@@ -378,7 +378,7 @@ def _cmd_verify(args) -> int:
         print(f"negative utility: consumer {consumer} would rather buy nothing")
     if not report.envy_free:
         return 1
-    raisable = raisable_consumers(v, allocation, prices)
+    raisable = report.raisable
     if len(raisable) == v.n:
         print("not revenue-maximal: no consumer has zero utility, so every price can rise")
         failures += 1

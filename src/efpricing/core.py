@@ -165,8 +165,12 @@ class Allocation:
             raise ValueError(
                 f"assignment length {arr.shape} does not match matrix size {v.n}"
             )
-        weight = int(v.values[np.arange(v.n), arr].sum())
-        return cls(assignment=arr, weight=weight)
+        # Built before the matrix is indexed, so that an item index out of
+        # range is refused as not a permutation.
+        allocation = cls(assignment=arr, weight=0)
+        weight = int(v.values[np.arange(v.n), allocation.assignment].sum())
+        object.__setattr__(allocation, "weight", weight)
+        return allocation
 
     @property
     def n(self) -> int:

@@ -13,7 +13,10 @@ Two independent methods compute the same integer price vector:
 
 Stability means y[j] >= y[k] + gaps[j][k] for all j != k: no item's
 winner could gain by taking another item at that item's price.  Prices
-are then p[j] = winning_valuation[j] - y[j].
+are then p[j] = winning_valuation[j] - y[j].  This module holds only the
+pricing methods; the certificate that their utilities are the minimal
+stable vector, :func:`~efpricing.verify.minimality_certificate`, is the
+envy-freeness check of :mod:`efpricing.verify` run on those prices.
 
 Both methods are called as ``method(gaps, vp)``, the gap matrix and the
 reordered matrix of the paper's pipeline.  One
@@ -279,44 +282,6 @@ def prices_bellman_ford(
             )
         d, d_next = d_next, d
     return _finish(u, -d[u.order], passes)
-
-
-def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
-    """Check that a stable utility vector cannot be lowered anywhere.
-
-    Every entry with y[j] > 0 must be held up by a tight arc
-    (y[j] == y[k] + gaps[j][k] for some k != j) and chains of tight arcs
-    must bottom out at a zero-utility entry.  Equivalently: following
-    tight arcs, every node reaches the zero set.  A reverse breadth-first
-    search from the zero set finds the nodes that do, one level at a
-    time; each node enters one level, so each column of tight arcs is
-    read once and the check is O(n^2).  Returns False as well if the vector
-    is not stable at all.
-    """
-    vec = np.asarray(y.y, dtype=np.int64)
-    n = u.n
-    # In consumer-row order: row i's own utility, and item k's gap plus
-    # utility y[k] + gaps[j][k], which row i must not exceed.
-    own = np.empty(n, dtype=np.int64)
-    own[u.order] = vec
-    lifted = vec - u.winning
-    # tight[i, k]: item k holds up the item of row i's consumer.
-    tight = np.empty((n, n), dtype=bool)
-    for lo, rows, out in row_blocks(u.source):
-        block = np.add(rows, lifted, out=out)
-        own_rows = own[lo : lo + len(rows), np.newaxis]
-        if (block > own_rows).any():
-            return False
-        np.equal(block, own_rows, out=tight[lo : lo + len(rows)])
-    item_of = np.empty(n, dtype=np.int64)
-    item_of[u.order] = np.arange(n)
-    reached = own == 0
-    frontier = item_of[reached]
-    while frontier.size:
-        newly = np.flatnonzero(tight[:, frontier].any(axis=1) & ~reached)
-        reached[newly] = True
-        frontier = item_of[newly]
-    return bool(reached.all())
 
 
 def _check_same_view(u: ReorderedValuation, vp) -> None:

@@ -145,6 +145,18 @@ class TestVerify:
         assert run_cli("verify", str(path), str(sol)) == 1
         assert "1 of 2 consumers (first: 1) reach no zero-utility" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("assignment", [[0, 5], [0, -1]])
+    def test_item_out_of_range_is_an_invalid_assignment(
+        self, instance_2x2, tmp_path, capsys, assignment
+    ):
+        sol = tmp_path / "sol.json"
+        rec = SolutionRecord(n=2, assignment=assignment, prices=[3, 2], revenue=5, iterations_used=0)
+        sol.write_text(rec.to_json())
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "invalid assignment: assignment must be a permutation of 0..n-1\n"
+        assert captured.out == ""
+
     def test_price_beyond_int64_is_usage_error(self, instance_2x2, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         sol.write_text(
@@ -281,6 +293,30 @@ def test_the_solve_pipeline_runs_through_the_names_the_benchmark_traces(
     assert {"matching.solve_assignment", "core.reorder", "pricing.prices_efpm"} <= names
     args, _ = tracer.last["pricing.prices_efpm"]
     assert len(args) == 2
+
+
+def test_verify_certifies_in_the_one_call_the_benchmark_traces(
+    instance_2x2, tmp_path, monkeypatch, capsys
+):
+    # perfbench times the certificate as the verify.check_envy_free
+    # span; a check that verify ran around that call would go untimed.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracing import Tracer, instrument
+
+    optimal = tmp_path / "optimal.json"
+    assert run_cli("solve", str(instance_2x2), "--out", str(optimal)) == 0
+    zero = tmp_path / "zero.json"
+    zero.write_text(
+        SolutionRecord(n=2, assignment=[0, 1], prices=[0, 0], revenue=0, iterations_used=0).to_json()
+    )
+    tracer = Tracer()
+    with instrument(tracer, cli):
+        assert run_cli("verify", str(instance_2x2), str(optimal)) == 0
+        assert run_cli("verify", str(instance_2x2), str(zero)) == 1
+    assert [s.name for s in tracer.spans].count("verify.check_envy_free") == 2
+    _, report = tracer.last["verify.check_envy_free"]
+    assert report.raisable == [0, 1]
+    assert "not revenue-maximal: no consumer has zero utility" in capsys.readouterr().out
 
 
 def test_student_t_quantile_matches_scipy():

@@ -2,7 +2,7 @@
 
 The gap matrix is a view, and pricing and the checks read the matrix
 rows in blocks, so a solve or a verify holds the matrix, the blocks and
-what a layer keeps (efpm's arcs, the checks' n x n booleans).  Peaks are
+what a layer keeps (efpm's arcs, the certificate's n x n booleans).  Peaks are
 taken with tracemalloc, above what is allocated when the call
 starts.  One small solve runs first, untraced, so that the imports and
 caches a first command fills (argparse's messages, locale tables) are
@@ -20,6 +20,7 @@ from efpricing import (
     Allocation,
     ValuationMatrix,
     build_gap_matrix,
+    check_envy_free,
     generate,
     prices_efpm,
     read_instance,
@@ -27,7 +28,7 @@ from efpricing import (
     solve_assignment,
     write_instance,
 )
-from efpricing.cli import main
+from efpricing.cli import main, solve_and_price
 
 from helpers import explicit_gaps
 
@@ -98,6 +99,17 @@ def test_efpm_holds_a_fraction_of_a_matrix():
     vp = reorder(v, solve_assignment(v).allocation)
     gaps = build_gap_matrix(vp)
     assert traced_peak(prices_efpm, gaps, vp) <= 0.3 * MATRIX_BYTES
+
+
+def test_the_checks_hold_a_fraction_of_a_matrix():
+    # The certificate's tight arcs take an eighth of the matrix.  At N
+    # the 64 KiB block buffer and numpy's temporaries for it weigh more
+    # than that, so this check runs on a larger matrix.
+    n = 1000
+    v = generate(n, 5)
+    solved = solve_and_price(v, ["efpm"])
+    prices = solved.priced["efpm"][1]
+    assert traced_peak(check_envy_free, v, solved.allocation, prices) <= 0.2 * n * n * 8
 
 
 @pytest.mark.parametrize("wrap, field", [

@@ -38,23 +38,7 @@ from efpricing.core import max_entry_for
 
 from efpricing import pricing
 
-from helpers import blocks_of, reference_efpm
-
-
-def reference_minimality(u, y):
-    vec = np.asarray(y.y, dtype=np.int64)
-    n = u.n
-    diff = vec[:, np.newaxis] - vec[np.newaxis, :] - u.gaps
-    if diff.min() < 0:
-        return False
-    tight = (diff == 0) & ~np.eye(n, dtype=bool)
-    reached = vec == 0
-    while True:
-        grown = reached | (tight & reached[np.newaxis, :]).any(axis=1)
-        if np.array_equal(grown, reached):
-            break
-        reached = grown
-    return bool(reached.all())
+from helpers import blocks_of, chain, reference_efpm, reference_minimality
 
 
 def reference_bellman_ford(u):
@@ -113,24 +97,6 @@ def square(draw, entries, n):
 def extreme_entries(n):
     m = max_entry_for(n)
     return st.one_of(st.integers(0, 3), st.sampled_from([m // 2, m - 1, m]))
-
-
-def chain(n, seed, rows, cols, step=1, drop=0):
-    """Consumer i values item i at H and item i + 1 at H + step.
-
-    Consumer 0 values item 1 at H + step - drop instead.  With the
-    other entries more than (n - 1) * step below H the identity is the
-    only optimum, the minimal stable utilities are y[i] = step * (n - 1 - i)
-    except y[0] = step * (n - 1) - drop (for drop below that), and efpm
-    needs exactly n - 1 sweeps.  rows and cols relabel the market.
-    """
-    h = 10**6
-    values = np.random.default_rng(seed).integers(0, 5 * 10**5, size=(n, n))
-    idx = np.arange(n)
-    values[idx, idx] = h
-    values[idx[:-1], idx[:-1] + 1] = h + step
-    values[0, 1] -= drop
-    return values[np.array(rows)][:, np.array(cols)]
 
 
 def staircase(n):

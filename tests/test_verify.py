@@ -7,15 +7,17 @@ from efpricing import (
     Allocation,
     InstanceTooLargeError,
     PriceVector,
+    UtilityVector,
     ValuationMatrix,
     check_envy_free,
-    raisable_consumers,
+    minimality_certificate,
+    reorder,
 )
 from efpricing.cli import solve_and_price
 from efpricing.core import max_entry_for
 from efpricing.oracles import brute_force_max_revenue
 
-from helpers import blocks_of, random_matrix
+from helpers import blocks_of, chain, random_matrix, reference_minimality
 
 
 def efpm(v):
@@ -167,23 +169,25 @@ class TestRaisableConsumers:
     def test_optimal_prices_leave_nothing_to_raise(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
         a = Allocation.from_assignment(v, [0, 1])
-        assert raisable_consumers(v, a, price_vector([3, 2])) == []
+        assert check_envy_free(v, a, price_vector([3, 2])).raisable == []
 
     def test_zero_prices_leave_everyone_raisable(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
         a = Allocation.from_assignment(v, [0, 1])
-        assert raisable_consumers(v, a, price_vector([0, 0])) == [0, 1]
+        assert check_envy_free(v, a, price_vector([0, 0])).raisable == [0, 1]
 
     def test_tight_chain_reaches_the_zero_set(self):
         # Utilities (2, 1, 0): consumer 2 is at zero, 1 likes item 2 as
         # much as its own and 0 likes item 1 as much as its own.
         v = ValuationMatrix([[8, 6, 0], [0, 5, 4], [0, 0, 3]])
         a = Allocation.from_assignment(v, [0, 1, 2])
-        assert check_envy_free(v, a, price_vector([6, 4, 3])).envy_free
-        assert raisable_consumers(v, a, price_vector([6, 4, 3])) == []
+        report = check_envy_free(v, a, price_vector([6, 4, 3]))
+        assert report.envy_free
+        assert report.raisable == []
         # A lower price on item 0 cuts consumer 0's tight arc, and only its.
-        assert check_envy_free(v, a, price_vector([5, 4, 3])).envy_free
-        assert raisable_consumers(v, a, price_vector([5, 4, 3])) == [0]
+        report = check_envy_free(v, a, price_vector([5, 4, 3]))
+        assert report.envy_free
+        assert report.raisable == [0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -198,9 +202,10 @@ class TestRaisableConsumers:
         allocation, prices = efpm(v)
         cuts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         lowered = price_vector((prices.p - np.array(cuts)).tolist())
-        if not check_envy_free(v, allocation, lowered).envy_free:
+        report = check_envy_free(v, allocation, lowered)
+        if not report.envy_free:
             return
-        raisable = raisable_consumers(v, allocation, lowered)
+        raisable = report.raisable
         assert (raisable == []) == (not any(cuts))
         if n <= 4:
             assert (raisable == []) == (lowered.revenue == brute_force_max_revenue(v))
@@ -229,7 +234,7 @@ def reference_raisable(rows, assignment, prices):
 def test_blocked_checks_match_python_integers(data):
     # Blocks of 1..n rows.  Drawn prices near the int64 limits send
     # check_envy_free to Python integers; lowered pipeline prices are
-    # mostly envy-free, so that raisable_consumers gets checked too.
+    # mostly envy-free, so that the raisable consumers get checked too.
     n = data.draw(st.integers(1, 9))
     m = max_entry_for(n)
     entries = data.draw(st.sampled_from([st.integers(0, 3), st.sampled_from([0, m - 1, m])]))
@@ -253,5 +258,30 @@ def test_blocked_checks_match_python_integers(data):
         assert report.violations == [(i, j, g) for i, j, g in gains if g > 0]
         assert report.negative_utility_consumers == [i for i in range(n) if own[i] < 0]
         if report.envy_free:
-            assert raisable_consumers(v, a, price_vector(prices)) == reference_raisable(
-                rows, assignment, prices)
+            assert report.raisable == reference_raisable(rows, assignment, prices)
+        else:
+            assert report.raisable == []
+
+
+@pytest.mark.parametrize("cut", [0, 1, 30, 59, 60])
+def test_a_relabelled_chain_is_searched_one_item_a_level(cut):
+    # Chain consumer i is held only by consumer i + 1, and only consumer
+    # n - 1 has zero utility, so the search takes n levels of one item.
+    # Lowering the prices of chain items 0..cut-1 by one cuts the chain
+    # there: exactly the chain consumers 0..cut-1 become raisable.
+    n = 60
+    rng = np.random.default_rng(cut)
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    values = chain(n, n, rows, cols)
+    v = ValuationMatrix(values)
+    allocation, optimal = efpm(v)
+    prices = (optimal.p - (cols < cut)).tolist()
+    report = check_envy_free(v, allocation, price_vector(prices))
+    assert report.envy_free
+    assert report.raisable == reference_raisable(
+        values.tolist(), allocation.assignment.tolist(), prices)
+    assert report.raisable == np.flatnonzero(rows < cut).tolist()
+    vp = reorder(v, allocation)
+    utilities = UtilityVector(y=vp.winning - np.array(prices), iterations_used=0)
+    assert minimality_certificate(vp, utilities) == reference_minimality(vp, utilities)
+    assert minimality_certificate(vp, utilities) == (cut == 0)
