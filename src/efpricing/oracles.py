@@ -1,18 +1,14 @@
-"""Exhaustive and dense oracles that the tests check the solver against.
+"""Exhaustive oracles that the tests check the solver against.
 
-None of these is on the solve path, and most are exponential or
-factorial: they are meant for small instances.
+Neither is on the solve path, and both are factorial: they are meant
+for small instances.
 
-* :func:`brute_force_assignment` enumerates all n! assignments.
+* :func:`brute_force_assignment` enumerates all n! assignments, against
+  which the tests check the matcher.
 * :func:`brute_force_max_revenue` enumerates every allocation and solves
   each one's stability system by longest-path closure over its gap
-  matrix.
-* :func:`check_cycle_nonpositivity` sums every short directed cycle of a
-  gap matrix.
-* :func:`iterate_once` is one dense max-plus sweep of efpm.
-
-The last two read ``ReorderedValuation.gaps``, which builds the n x n
-gap matrix that the pricing methods themselves never hold.
+  matrix, against which the tests and the benchmark's checks compare
+  the revenue of the computed prices.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .core import Allocation, InstanceTooLargeError, ReorderedValuation, ValuationMatrix
+from .core import Allocation, InstanceTooLargeError, ValuationMatrix
 from .matching import MatchingResult
 
 #: Hard guard for the factorial assignment oracle.
@@ -123,40 +119,3 @@ def _max_revenue_for_gaps(gaps, diag, exact64: bool):
     if (prices < 0).any():
         return None
     return int(prices.sum())
-
-
-def check_cycle_nonpositivity(u: ReorderedValuation, max_cycle_len: int) -> bool:
-    """Exhaustively test that every directed cycle of length at most
-    max_cycle_len has nonpositive gap sum.
-
-    A cycle (i1, ..., ir) is summed as gaps[i1][ir] + sum of
-    gaps[i(k+1)][ik], i.e. following arcs from each index to the next.
-    Exponential in max_cycle_len; intended as a certificate check on
-    small instances.
-    """
-    n = u.n
-    if max_cycle_len > n:
-        raise ValueError(f"max_cycle_len {max_cycle_len} exceeds matrix size {n}")
-    g = u.gaps
-    for r in range(2, max_cycle_len + 1):
-        for combo in itertools.combinations(range(n), r):
-            first = combo[0]
-            # Fix the smallest index first to enumerate each cyclic order once;
-            # both orientations of a cycle appear as distinct orderings.
-            for rest in itertools.permutations(combo[1:]):
-                cycle = (first,) + rest
-                total = g[cycle[0]][cycle[-1]]
-                for k in range(r - 1):
-                    total += g[cycle[k + 1]][cycle[k]]
-                if total > 0:
-                    return False
-    return True
-
-
-def iterate_once(u: ReorderedValuation, y) -> np.ndarray:
-    """One max-plus sweep: y'[j] = max over k of y[k] + gaps[j][k].
-
-    The k = j term contributes y[j] + 0, so the result is pointwise >= y.
-    """
-    vec = np.asarray(y, dtype=np.int64)
-    return (u.gaps + vec[np.newaxis, :]).max(axis=1)

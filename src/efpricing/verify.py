@@ -57,11 +57,6 @@ def check_envy_free(v: ValuationMatrix, a: Allocation, p: PriceVector) -> EnvyRe
     reaches can have their prices raised together, and are reported as
     ``raisable``.
     """
-    n = v.n
-    if a.n != n or p.p.shape != (n,):
-        raise ValueError(
-            f"inconsistent sizes: matrix {n}, allocation {a.n}, prices {p.p.shape}"
-        )
     return _certify(v.values, a.assignment, p.p)
 
 
@@ -77,13 +72,21 @@ def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
     """
     item_of = np.empty(u.n, dtype=np.int64)
     item_of[u.order] = np.arange(u.n)
-    report = _certify(u.source, item_of, u.winning - y.y)
+    # winning - y would broadcast a y of another length; such a y goes to
+    # _certify as it is, whose sizes check rejects it.
+    prices = u.winning - y.y if y.y.shape == u.winning.shape else y.y
+    report = _certify(u.source, item_of, prices)
     return report.envy_free and not report.raisable
 
 
 def _certify(values: np.ndarray, assignment: np.ndarray, prices: np.ndarray) -> EnvyReport:
     """check_envy_free on plain arrays, whose valuations may be negative."""
-    n = len(assignment)
+    n = len(values)
+    if len(assignment) != n or prices.shape != (n,):
+        raise ValueError(
+            f"inconsistent sizes: matrix {n}, allocation {len(assignment)}, "
+            f"prices {prices.shape}"
+        )
     # Utilities lie in low..high, and gains within their spread; past
     # int64, the pass runs on Python integers instead.
     low = int(values.min()) - int(prices.max())

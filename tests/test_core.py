@@ -9,7 +9,6 @@ from efpricing import (
     reorder,
 )
 from efpricing.core import max_entry_for
-from efpricing.oracles import brute_force_assignment, check_cycle_nonpositivity
 
 from helpers import permutation_matrix, random_matrix
 
@@ -183,32 +182,3 @@ class TestGapMatrixView:
             ReorderedValuation(source=[[0, 2], [3, 0]], order=[0, 1, 2], winning=[0, 0])
         with pytest.raises(ValueError, match="square"):
             ReorderedValuation(source=[[0, 2, 1], [3, 0, 1]], order=[0, 1], winning=[0, 0])
-
-
-class TestCycleNonpositivity:
-    def test_single_node_is_vacuous(self):
-        v = ValuationMatrix([[7]])
-        gaps = build_gap_matrix(reorder(v, Allocation(assignment=[0], weight=7)))
-        assert check_cycle_nonpositivity(gaps, 1) is True
-
-    def test_suboptimal_allocation_has_positive_two_cycle(self):
-        v = ValuationMatrix([[0, 10], [10, 0]])
-        a = Allocation.from_assignment(v, [0, 1])
-        gaps = build_gap_matrix(reorder(v, a))
-        assert gaps.gaps.tolist() == [[0, 10], [10, 0]]
-        assert check_cycle_nonpositivity(gaps, 2) is False
-
-    def test_optimal_allocations_pass(self):
-        rng = np.random.default_rng(17)
-        for _ in range(60):
-            n = int(rng.integers(2, 7))
-            v = random_matrix(rng, n, 20)
-            best = brute_force_assignment(v).allocation
-            gaps = build_gap_matrix(reorder(v, best))
-            assert check_cycle_nonpositivity(gaps, n) is True
-
-    def test_rejects_cycle_length_beyond_n(self):
-        v = ValuationMatrix([[1, 0], [0, 1]])
-        gaps = build_gap_matrix(reorder(v, Allocation(assignment=[0, 1], weight=2)))
-        with pytest.raises(ValueError):
-            check_cycle_nonpositivity(gaps, 3)

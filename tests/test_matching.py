@@ -51,9 +51,6 @@ def test_deterministic_across_calls():
     first = solve_assignment(v)
     second = solve_assignment(v)
     assert np.array_equal(first.allocation.assignment, second.allocation.assignment)
-    rp1, cp1 = first.dual_potentials
-    rp2, cp2 = second.dual_potentials
-    assert np.array_equal(rp1, rp2) and np.array_equal(cp1, cp2)
 
 
 def test_brute_force_examples():
@@ -84,34 +81,16 @@ def test_weights_match_brute_force_oracle():
         assert sorted(fast.allocation.assignment.tolist()) == list(range(n))
 
 
-def test_weights_match_scipy_on_larger_instances():
+# Entries in 0..10^6 hardly tie; entries in 0..3 tie heavily.
+@pytest.mark.parametrize("hi", [10**6, 3])
+def test_weights_match_scipy_on_larger_instances(hi):
     rng = np.random.default_rng(37)
     for n in (25, 60, 120):
         for _ in range(5):
-            v = random_matrix(rng, n, 10**6)
+            v = random_matrix(rng, n, hi)
             res = solve_assignment(v)
             r, c = linear_sum_assignment(v.values, maximize=True)
             assert res.allocation.weight == int(v.values[r, c].sum())
-
-
-def test_dual_certificate():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        n = int(rng.integers(1, 30))
-        v = random_matrix(rng, n, int(rng.choice([3, 10**6])))
-        assert_dual_certificate(v, solve_assignment(v))
-
-
-def assert_dual_certificate(v, res):
-    """Feasible everywhere, tight on matched pairs, summing to the weight;
-    checked in Python integers so that the check itself cannot wrap."""
-    n = v.n
-    values = v.values.astype(object)
-    row_pot, col_pot = (p.astype(object) for p in res.dual_potentials)
-    assert np.all(row_pot[:, None] + col_pot[None, :] >= values)
-    a = res.allocation.assignment
-    assert np.all(row_pot + col_pot[a] == values[np.arange(n), a])
-    assert row_pot.sum() + col_pot.sum() == res.allocation.weight
 
 
 def efpm_prices(v, allocation):
@@ -168,11 +147,8 @@ def test_matcher_properties(family, data):
     res = solve_assignment(v)
     exact = brute_force_assignment(v)
     assert res.allocation.weight == exact.allocation.weight
-    assert_dual_certificate(v, res)
     again = solve_assignment(v)
     assert np.array_equal(again.allocation.assignment, res.allocation.assignment)
-    for mine, other in zip(res.dual_potentials, again.dual_potentials):
-        assert np.array_equal(mine, other)
     # Shapley-Shubik: the minimal stable prices do not depend on which
     # optimal allocation they are computed for, so tie-breaks may change.
     assert np.array_equal(efpm_prices(v, res.allocation), efpm_prices(v, exact.allocation))
@@ -195,19 +171,16 @@ def test_extreme_entries_regression():
     ])
     res = solve_assignment(v)
     assert res.allocation.weight == brute_force_assignment(v).allocation.weight
-    assert_dual_certificate(v, res)
 
 
 @pytest.mark.parametrize("family", [small_entries, constant_matrices, chains])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_blocks_leave_assignment_and_duals_unchanged(family, data):
+def test_blocks_leave_assignment_unchanged(family, data):
     # Column reduction reads the tight entries in row blocks; with blocks
-    # from one row to the whole matrix, every answer is the same.
+    # from one row to the whole matrix, the assignment is the same.
     v = ValuationMatrix(data.draw(family()))
     res = solve_assignment(v)
     with blocks_of(data.draw(st.integers(1, v.n * v.n), label="entries per block")):
         blocked = solve_assignment(v)
     assert np.array_equal(blocked.allocation.assignment, res.allocation.assignment)
-    for mine, other in zip(blocked.dual_potentials, res.dual_potentials):
-        assert np.array_equal(mine, other)

@@ -15,7 +15,6 @@ from efpricing import (
     reorder,
 )
 from efpricing.cli import solve_and_price
-from efpricing.oracles import iterate_once
 
 from helpers import explicit_gaps, random_matrix, reference_efpm
 
@@ -28,35 +27,6 @@ def reordered_pair(values, assignment=None):
         assignment = list(range(v.n))
     vp = reorder(v, Allocation.from_assignment(v, assignment))
     return build_gap_matrix(vp), vp
-
-
-class TestIterateOnce:
-    def test_single_sweep_example(self):
-        gaps = explicit_gaps([[0, 2], [-4, 0]])
-        assert iterate_once(gaps, [0, 0]).tolist() == [2, 0]
-
-    def test_fixed_point_is_unchanged(self):
-        gaps = explicit_gaps([[0, 2], [-4, 0]])
-        assert iterate_once(gaps, [2, 0]).tolist() == [2, 0]
-
-    def test_nonpositive_gaps_keep_zero(self):
-        gaps = explicit_gaps([[0, -1], [-2, 0]])
-        assert iterate_once(gaps, [0, 0]).tolist() == [0, 0]
-
-    def test_monotone_and_stable_after_sweep(self):
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            n = int(rng.integers(1, 10))
-            v = random_matrix(rng, n, 100)
-            gaps, _ = reordered_pair(v.values, rng.permutation(n).tolist())
-            y = rng.integers(0, 50, size=n)
-            y_next = iterate_once(gaps, y)
-            assert np.all(y_next >= y)
-            # One sweep establishes the stability inequalities w.r.t. y.
-            for j in range(n):
-                for k in range(n):
-                    if j != k:
-                        assert y_next[j] >= y[k] + gaps.gaps[j, k]
 
 
 class TestPricesEfpm:
@@ -88,18 +58,6 @@ class TestPricesEfpm:
         assert utilities.y.tolist() == [0, 0]
         assert prices.revenue == 20
 
-    def test_matches_repeated_iterate_once(self):
-        rng = np.random.default_rng(59)
-        for _ in range(40):
-            n = int(rng.integers(1, 12))
-            v = random_matrix(rng, n, 1000)
-            solved = solve_and_price(v, ["efpm"])
-            utilities, _, _ = solved.priced["efpm"]
-            y = np.zeros(n, dtype=np.int64)
-            for _ in range(n):
-                y = iterate_once(solved.view, y)
-            assert np.array_equal(utilities.y, y)
-
 
 class TestPricesBellmanFord:
     def test_worked_example(self):
@@ -113,6 +71,42 @@ class TestPricesBellmanFord:
         utilities, prices = prices_bellman_ford(gaps, vp)
         assert utilities.y.tolist() == [0]
         assert prices.p.tolist() == [4]
+
+
+@pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
+@pytest.mark.parametrize("rows, expected", [
+    ([[0, 2], [-4, 0]], [2, 0]),
+    ([[0, -1], [-2, 0]], [0, 0]),
+    # Utility flows along the path 2 -> 1 -> 0 one sweep at a time.
+    ([[0, 1, -5], [-5, 0, 1], [-5, -5, 0]], [2, 1, 0]),
+], ids=["one-positive-gap", "nonpositive-gaps", "path"])
+def test_explicit_gaps_reach_the_dense_fixed_point(pricing_fn, rows, expected):
+    gaps = explicit_gaps(rows)
+    utilities, _ = pricing_fn(gaps, gaps)
+    y, iterations = reference_efpm(gaps)
+    assert utilities.y.tolist() == y.tolist() == expected
+    assert utilities.iterations_used == iterations
+
+
+@pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
+def test_every_optimal_allocation_gets_the_same_prices(pricing_fn):
+    # Tie-heavy matrices have many optimal allocations; each one prices
+    # without NonOptimalAllocation, and (Shapley-Shubik) every item gets
+    # the same minimal price whichever optimum sells it.
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        v = random_matrix(rng, n, 3)
+        weights = {p: int(v.values[np.arange(n), p].sum()) for p in _all_perms(n)}
+        best = max(weights.values())
+        seen = set()
+        for perm, weight in weights.items():
+            if weight != best:
+                continue
+            gaps, vp = reordered_pair(v.values, list(perm))
+            _, prices = pricing_fn(gaps, vp)
+            seen.add(tuple(prices.p.tolist()))
+        assert len(seen) == 1
 
 
 class TestCrossMethod:
@@ -145,8 +139,8 @@ class TestConvergedProperties:
             assert utilities.iterations_used <= max(n - 1, 0)
             assert y.min() == 0
             assert np.all(y >= 0)
-            # Fixed point of the sweep.
-            assert np.array_equal(iterate_once(gaps, y), y)
+            # The dense loop's fixed point.
+            assert np.array_equal(reference_efpm(gaps)[0], y)
             # Price bounds and revenue accounting.
             diag = np.diagonal(vp.values)
             assert np.all(prices.p >= 0)
@@ -211,7 +205,7 @@ class TestNonOptimalDetection:
                 else:
                     assert exc.sweeps <= n
             else:
-                assert np.array_equal(iterate_once(gaps, utilities.y), utilities.y)
+                assert np.array_equal(reference_efpm(gaps)[0], utilities.y)
         assert raised > 0
 
     def test_dimension_mismatch_rejected(self):

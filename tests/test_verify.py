@@ -98,6 +98,12 @@ class TestCheckEnvyFree:
         a = Allocation.from_assignment(v, [0, 1])
         with pytest.raises(ValueError, match="sizes"):
             check_envy_free(v, a, price_vector([1, 2, 3]))
+        # A utility vector of one entry too few or too many is refused
+        # the same way, not broadcast against the winning valuations.
+        vp = reorder(v, a)
+        for y in ([0], [0, 0, 0]):
+            with pytest.raises(ValueError, match="inconsistent sizes"):
+                minimality_certificate(vp, UtilityVector(y=y, iterations_used=0))
 
 
 class TestBruteForceMaxRevenue:
