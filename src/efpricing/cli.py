@@ -17,10 +17,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -398,21 +400,46 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
     methods = args.method or sorted(PRICING_METHODS)
-    report = run_bench(
-        sizes,
-        args.trials,
-        args.seed,
-        methods,
-        warmup=args.warmup,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    sys.stdout.write(render_table(report))
+    with _report_file(args.out) as out:
+        report = run_bench(
+            sizes,
+            args.trials,
+            args.seed,
+            methods,
+            warmup=args.warmup,
+            progress=lambda msg: print(msg, file=sys.stderr),
+        )
+        sys.stdout.write(render_table(report))
+        if out is not None:
+            renderer = {"text": render_table, "csv": render_csv, "json": render_json}[args.format]
+            out.truncate(0)
+            out.write(renderer(report))
     if args.out:
-        renderer = {"text": render_table, "csv": render_csv, "json": render_json}[args.format]
-        with open(args.out, "w") as fh:
-            fh.write(renderer(report))
         print(f"wrote {args.format} report to {args.out}", file=sys.stderr)
     return 0
+
+
+@contextlib.contextmanager
+def _report_file(path):
+    """The --out file, opened before the first trial (None without --out).
+
+    A path that cannot be written fails at once, not after the run.  It
+    is opened for appending, so an existing report stays as it is until
+    the caller truncates it; a file opened new is removed again when the
+    run fails.
+    """
+    if path is None:
+        yield None
+        return
+    existed = os.path.exists(path)
+    fh = open(path, "a")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
 
 
 def _parse_sizes(raw: str) -> list[int]:

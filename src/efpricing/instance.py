@@ -22,9 +22,11 @@ ragged row, a negative entry or one above the bound), the per-token loop
 reads the text again.  The loop is the only place that words a
 :class:`ParseError`, and it also accepts what ``int()`` accepts but
 ``loadtxt`` does not (``1_000``, non-ASCII digits), so both paths accept
-the same texts with the same values.  :func:`serialize` formats blocks
-of entries as right-aligned digit tables and keeps the bytes after each
-entry's leading padding; the blocks bound its working memory.
+the same texts with the same values.  :func:`serialize` and
+:func:`write_instance` format blocks of entries one decimal place at a
+time into a place-major digit table (one row per place, one column per
+entry), dividing in int32 when the matrix maximum fits, and keep each
+place whose quotient is nonzero; the blocks bound their working memory.
 
 :func:`read_instance` streams: it reads a file of plain ASCII digits,
 spaces and newlines in blocks of rows of about ``_BLOCK`` entries each,
@@ -128,8 +130,6 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
 _BLOCK = 1 << 14
 #: The bytes a streamed instance may hold; any other sends it to parse.
 _PLAIN = b"0123456789 \n"
-#: 10, 100, ..., 10**18: an entry below 10**k has at most k digits.
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def serialize(v: ValuationMatrix) -> str:
@@ -140,30 +140,38 @@ def serialize(v: ValuationMatrix) -> str:
 def _render(v: ValuationMatrix) -> Iterator[bytes | np.ndarray]:
     """The instance text as consecutive ASCII buffers, one per block.
 
-    Each block becomes a table with one row per entry: the entry's digits
-    right-aligned, then its separator (a newline after the last column, a
-    space elsewhere).  A mask keeps each row's last digits + 1 bytes.
+    Each block becomes a place-major table, one column per entry: row 0
+    holds the digits at the highest decimal place of the matrix maximum,
+    row ``digits - 1`` the units and the last row the separators (a
+    newline after the matrix's last column, a space elsewhere), so every
+    write is one contiguous row.  The places are taken from the units
+    up, in int32 when the matrix maximum fits and in int64 otherwise.  A
+    place is kept while the quotient it was taken from is nonzero; the
+    units and the separator are always kept.  The kept bytes, read
+    column by column, are the block's text.
     """
     n = v.n
     flat = v.values.reshape(-1)
-    width = int(np.searchsorted(_POWERS_OF_TEN, flat.max(), side="right")) + 2
-    # keep[k]: the bytes kept of a row whose entry has k + 1 digits.
-    keep = np.arange(width) >= (width - 2 - np.arange(width - 1))[:, np.newaxis]
+    top = int(flat.max())
+    digits = len(str(top))
+    dtype = np.int32 if top < 2**31 else np.int64
     yield f"{n}\n".encode()
     for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
-        table = np.empty((block.size, width), dtype=np.uint8)
-        rest = block.copy()
+        rest = flat[start : start + _BLOCK].astype(dtype)
         quotient = np.empty_like(rest)
-        for col in range(width - 2, -1, -1):
+        table = np.empty((digits + 1, rest.size), dtype=np.uint8)
+        keep = np.empty(table.shape, dtype=bool)
+        for place in range(digits - 1, -1, -1):
             np.floor_divide(rest, 10, out=quotient)
-            table[:, col] = rest - quotient * 10
+            np.not_equal(rest, 0, out=keep[place])
+            rest -= quotient * 10
+            table[place] = rest
             rest, quotient = quotient, rest
-        table += ord("0")
-        table[:, -1] = ord(" ")
-        table[(n - 1 - start) % n :: n, -1] = ord("\n")
-        digits = np.searchsorted(_POWERS_OF_TEN, block, side="right")
-        yield table[keep.take(digits, axis=0)]
+        table[:digits] += ord("0")
+        table[digits] = ord(" ")
+        table[digits, (n - 1 - start) % n :: n] = ord("\n")
+        keep[digits - 1 :] = True
+        yield table.T[keep.T]
 
 
 def parse(text: str) -> ValuationMatrix:

@@ -251,6 +251,24 @@ class TestBench:
         assert [row.split()[1:3] for row in rows] == [[m, "2"] for m in listed]
         assert len(out.read_text().splitlines()) == 1 + 2 * len(listed)
 
+    def test_unwritable_out_fails_before_the_first_trial(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bench.csv"
+        assert run_cli("bench", "--sizes", "3", "--trials", "2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "benchmarked" not in err and "bench.csv" in err
+
+    def test_a_report_is_replaced_only_by_a_finished_run(self, tmp_path, capsys):
+        old = tmp_path / "old.csv"
+        old.write_text("x" * 10_000)
+        new = tmp_path / "new.csv"
+        for out in (old, new):  # one trial is a usage error, found after --out is opened
+            assert run_cli("bench", "--sizes", "3", "--trials", "1", "--out", str(out)) == 2
+        assert old.read_text() == "x" * 10_000
+        assert not new.exists()
+        assert run_cli("bench", "--sizes", "3", "--trials", "2", "--out", str(old)) == 0
+        lines = old.read_text().splitlines()
+        assert lines[0] == ",".join(CSV_HEADER) and len(lines) == 1 + 4
+
     def test_single_method_has_no_reduction(self, capsys):
         code = run_cli("bench", "--sizes", "10", "--trials", "2", "--method", "efpm")
         assert code == 0

@@ -2,11 +2,12 @@
 
 The gap matrix is a view, and pricing and the checks read the matrix
 rows in blocks, so a solve or a verify holds the matrix, the blocks and
-what a layer keeps (efpm's arcs, the certificate's n x n booleans).  Peaks are
-taken with tracemalloc, above what is allocated when the call
-starts.  One small solve runs first, untraced, so that the imports and
-caches a first command fills (argparse's messages, locale tables) are
-not counted against the matrix.
+what a layer keeps (efpm's arcs, the certificate's n x n booleans).  The
+writer holds one block of entries whatever n is.  Peaks are taken with
+tracemalloc, above what is allocated when the call starts.  One small
+solve runs first, untraced, so that the imports and caches a first
+command fills (argparse's messages, locale tables) are not counted
+against the matrix.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ from efpricing import (
     solve_assignment,
     write_instance,
 )
+from efpricing import instance
 from efpricing.cli import main, solve_and_price
 
 from helpers import explicit_gaps
@@ -110,6 +112,14 @@ def test_the_checks_hold_a_fraction_of_a_matrix():
     solved = solve_and_price(v, ["efpm"])
     prices = solved.priced["efpm"][1]
     assert traced_peak(check_envy_free, v, solved.allocation, prices) <= 0.2 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_write_instance_holds_a_block_not_a_matrix(n, tmp_path):
+    # The writer formats _BLOCK entries at a time, so its peak does not
+    # grow with n: 40 bytes per block entry is 0.625 MiB.
+    peak = traced_peak(write_instance, generate(n, 11), tmp_path / "instance.txt")
+    assert peak <= 40 * instance._BLOCK
 
 
 @pytest.mark.parametrize("wrap, field", [
