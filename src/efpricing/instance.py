@@ -328,17 +328,28 @@ class SolutionRecord:
         """Read a record; every number must be a JSON integer within int64.
 
         Floats, strings and booleans are refused, not converted: ``int()``
-        would read 3.9 as 3, "5" as 5 and true as 1.
+        would read 3.9 as 3, "5" as 5 and true as 1.  So is a record that
+        contradicts itself: n below 1, an assignment or a price list
+        whose length is not n, or a negative iterations_used.
         """
         try:
             doc = json.loads(text)
-            return cls(
+            record = cls(
                 n=_integer("n", doc["n"]),
                 assignment=_integers("assignment", doc["assignment"]),
                 prices=_integers("prices", doc["prices"]),
                 revenue=_integer("revenue", doc["revenue"]),
                 iterations_used=_integer("iterations_used", doc["iterations_used"]),
             )
+            if record.n < 1:
+                raise ValueError(f"n = {record.n} is below 1")
+            for field in ("assignment", "prices"):
+                size = len(getattr(record, field))
+                if size != record.n:
+                    raise ValueError(f"{field} has {size} entries, but n = {record.n}")
+            if record.iterations_used < 0:
+                raise ValueError(f"iterations_used = {record.iterations_used} is negative")
+            return record
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed solution record: {exc}") from None
 

@@ -40,9 +40,19 @@ efpm prunes its sweeps exactly.  It keeps a bound theta >= max(y) and
 the utilities y_r of the moment it last chose its arcs, and sweeps only
 the arcs (j, k) with gaps[j][k] > y_r[j] - theta.  While max(y) <= theta,
 a dropped arc gives y[k] + gaps[j][k] <= theta + y_r[j] - theta <= y[j],
-because utilities only rise, so it can never raise y[j]; the diagonal
-(gap 0 > y_r[j] - theta, as theta > max(y_r)) is always kept.  Every
+because utilities only rise, so it can never raise y[j].  The diagonal
+term of a sweep is y[j] itself, so no diagonal arc is stored.  Every
 sweep therefore returns the vector the dense sweep would.
+
+The kept arcs are laid out in two levels, as the hybrid (ELL + COO)
+format of sparse matrix-vector products splits short rows from long
+ones (Bell and Garland, 2009): each row's first kept arc off the
+diagonal goes into two length-n arrays, a tail and a weight, and the
+rest go into a row-ordered list.  A sweep is one dense step, y'[j] =
+max(y[j], y[tail[j]] + weight[j]), and then a segmented maximum over
+the list, only for the rows that keep more than one arc.  On a chain,
+where each row keeps at most the arc to its successor, the list is
+empty and a sweep costs a few O(n) steps.
 
 The first time max(y) passes theta, one blocked pass finds the slack
 bound B = min over dropped arcs (j, k) of y_r[j] - gaps[j][k].  B >= theta,
@@ -129,11 +139,13 @@ def prices_efpm(
     optimal input the loop body runs at most n - 1 times; one extra sweep
     confirms the fixed point.  iterations_used counts the loop body runs.
 
-    Each sweep is y'[j] = max over kept k of y[k] + gaps[j][k], a gather
-    and a segmented maximum over the kept arcs in row order.  Invariant:
-    an arc (j, k) is kept when gaps[j][k] > y_r[j] - theta, where y_r is
-    y when the arcs were last chosen and theta > max(y_r); no dropped arc
-    can raise y[j] while max(y) <= theta (see the module docstring), so
+    Each sweep is y'[j] = max(y[j], max over kept k of y[k] +
+    gaps[j][k]): a gather over each row's first kept arc off the
+    diagonal, and a segmented maximum over the other kept arcs of the
+    rows that have any (see :func:`_choose_arcs`).  Invariant: an arc
+    (j, k) is kept when gaps[j][k] > y_r[j] - theta, where y_r is y when
+    the arcs were last chosen and theta > max(y_r); no dropped arc can
+    raise y[j] while max(y) <= theta (see the module docstring), so
     every iterate equals the dense sweep's.  When max(y) passes theta,
     the slack bound B >= theta of the current arcs is computed once;
     when max(y) passes B too, theta becomes 2 * max(y), capped at
@@ -175,10 +187,16 @@ def prices_efpm(
             theta = min(2 * top, INT64_MAX)
             arcs = _choose_arcs(u, y, theta)
             y_r, limit, bounded = y, theta, False
-        weights, tails, segments = arcs
-        reach = y[tails]
-        reach += weights
-        y_next = np.maximum.reduceat(reach, segments)
+        first_tails, first_weights, weights, tails, segments, rows = arcs
+        # The first level, then the diagonal: y itself.
+        y_next = y[first_tails]
+        y_next += first_weights
+        np.maximum(y_next, y, out=y_next)
+        if len(rows):
+            reach = y[tails]
+            reach += weights
+            more = np.maximum.reduceat(reach, segments)
+            y_next[rows] = np.maximum(more, y_next[rows], out=more)
         iterations += 1
         changed = bool((y_next != y).any())
         y = y_next
@@ -186,22 +204,43 @@ def prices_efpm(
 
 
 def _choose_arcs(u: ReorderedValuation, y, theta: int, fill: bool = False):
-    """The arcs efpm keeps for y_r = y and theta, in row order.
+    """The arcs efpm keeps for y_r = y and theta, in two levels.
 
-    Returns (weights, tails, segments): the kept gaps, the source row of
-    each arc's tail and the first arc of each row.  With ``fill``, y is
-    first filled with the row maxima, the first sweep from zero, block
-    by block as the rows are read.  The pass keeps only the arcs' flat
-    indices; their gaps are read again once its buffer is freed.
+    Returns (first_tails, first_weights, weights, tails, segments, rows).
+    The first level is one arc per row: first_tails[i] is the source row
+    of the tail and first_weights[i] the gap of row i's first kept arc
+    off the diagonal, or (i, 0), its diagonal, when it keeps none.  The
+    rest of the kept arcs, in row order, are the second level: their
+    gaps and tails, and, for each row that keeps any of them, its first
+    arc among them (segments) and the row itself (rows).  With ``fill``,
+    y is first filled with the row maxima, the first sweep from zero,
+    block by block as the rows are read.  The pass keeps only the arcs'
+    flat indices; their gaps are read again once its buffer is freed.
     """
     n = u.n
     arcs = np.concatenate(_kept_arcs(u, y, theta, fill))
-    # Every row keeps its diagonal, so no segment is empty.
-    segments = np.searchsorted(arcs, np.arange(0, n * n, n))
-    weights = u.source.reshape(-1)[arcs]
-    cols = np.remainder(arcs, n, out=arcs)
-    weights -= u.winning[cols]
-    return weights, u.order[cols], segments
+    bounds = np.searchsorted(arcs, np.arange(0, n * n + 1, n))
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
+    # first holds each row's diagonal entry until its first arc off it
+    # is known; diagonal holds their places among the arcs.
+    first = np.arange(0, n * n, n)
+    first[u.order] += np.arange(n)
+    diagonal = np.searchsorted(arcs, first)
+    # Every row keeps its diagonal (gap 0 > y_r[i] - theta, as theta >
+    # max(y_r)), so a row's first arc off it is the first or the second
+    # of its segment; a row that keeps no other arc takes its diagonal,
+    # (i, 0).
+    found = np.flatnonzero(counts > 1)
+    after = starts[found]
+    after += arcs[after] == first[found]
+    first[found] = arcs[after]
+    arcs = np.delete(arcs, np.concatenate((diagonal, after)))
+    rows = np.flatnonzero(counts > 2)
+    segments = np.searchsorted(arcs, rows * n)
+    first_weights, first_tails = _read_arcs(u, first)
+    weights, tails = _read_arcs(u, arcs)
+    return first_tails, first_weights, weights, tails, segments, rows
 
 
 def _kept_arcs(u: ReorderedValuation, y, theta: int, fill: bool) -> list:
@@ -219,6 +258,14 @@ def _kept_arcs(u: ReorderedValuation, y, theta: int, fill: bool) -> list:
         kept += lo * u.n
         arcs.append(kept)
     return arcs
+
+
+def _read_arcs(u: ReorderedValuation, arcs):
+    """The gaps and tails of arcs given by flat index; arcs is overwritten."""
+    weights = u.source.reshape(-1)[arcs]
+    cols = np.remainder(arcs, u.n, out=arcs)
+    weights -= u.winning[cols]
+    return weights, u.order[cols]
 
 
 def _slack_bound(u: ReorderedValuation, y_r, theta: int) -> int:

@@ -190,6 +190,27 @@ class TestVerify:
         assert named in captured.err
         assert "ok" not in captured.out
 
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"prices": [3, 2, 0]}, "prices has 3 entries, but n = 2"),
+            ({"assignment": [0, 1, 2]}, "assignment has 3 entries, but n = 2"),
+            ({"n": 0, "assignment": [], "prices": []}, "n = 0 is below 1"),
+            ({"iterations_used": -4}, "iterations_used = -4 is negative"),
+        ],
+    )
+    def test_a_record_that_contradicts_itself_is_a_usage_error(
+        self, instance_2x2, tmp_path, capsys, changes, named
+    ):
+        doc = {"assignment": [0, 1], "iterations_used": 1, "n": 2, "prices": [3, 2], "revenue": 5}
+        doc.update(changes)
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(doc))
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: malformed solution record: {named}\n"
+        assert captured.out == ""
+
     def test_extreme_prices_report_the_exact_gain(self, instance_2x2, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         rec = SolutionRecord(

@@ -304,6 +304,51 @@ def test_blocked_methods_match_the_dense_loops_on_chains(data):
     assert iterations == n - 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_blocked_methods_match_the_dense_loops_on_chains_with_extra_arcs(data):
+    # Some rows also value items further along the chain, at gaps of
+    # -step + 1..step, which the first choice keeps, so that rows with
+    # no arc off the diagonal (the last), with one (the chain's) and with
+    # several meet in one market.  Those arcs all point forward, and
+    # every backward entry lies far below the chain, so the identity
+    # stays the only optimum.
+    n = data.draw(st.integers(2, 40))
+    step = data.draw(st.sampled_from([1, 7, 1000]))
+    values = chain(n, data.draw(st.integers(0, 2**32 - 1)), range(n), range(n), step)
+    if n >= 3:
+        extra = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 3), st.integers(2, n - 1), st.integers(1 - step, step)),
+            min_size=1, max_size=3 * n))
+        for row, reach, gap in extra:
+            values[row, min(row + reach, n - 1)] = 10**6 + gap
+    rows = np.array(data.draw(st.permutations(range(n))))
+    cols = np.array(data.draw(st.permutations(range(n))))
+    assert_blocked_methods_match(data, *priced(values[rows][:, cols]))
+
+
+@pytest.mark.parametrize("n", [2, 40, 400])
+def test_chains_fit_the_first_level(n, monkeypatch):
+    # Each chain row keeps at most its arc to the next item, so the
+    # first level holds every kept arc and no segmented rest is built:
+    # the sweep is the dense step alone.
+    layouts = []
+    choose = pricing._choose_arcs
+
+    def recorded(*args, **kwargs):
+        layouts.append(choose(*args, **kwargs))
+        return layouts[-1]
+
+    monkeypatch.setattr(pricing, "_choose_arcs", recorded)
+    utilities, _ = prices_efpm(*priced(chain(n, n, range(n), range(n))))
+    assert utilities.iterations_used == n - 1
+    assert len(layouts) == 1
+    first_tails, first_weights, weights, tails, segments, rows = layouts[0]
+    assert first_tails.tolist() == list(range(1, n)) + [n - 1]
+    assert first_weights.tolist() == [1] * (n - 1) + [0]
+    assert len(weights) == len(tails) == len(segments) == len(rows) == 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_blocked_methods_match_the_dense_loops_on_staircases(data):
