@@ -20,12 +20,12 @@ No n x n integer array is derived from the matrix on the solve path.
 :func:`reorder` returns a :class:`ReorderedValuation`: one O(n) view
 that holds the source matrix, the item-to-consumer order and the
 winning valuations, and checks on construction that they fit together.
-It is both the reordered matrix and the utility-gap matrix, so
-:func:`build_gap_matrix` returns it unchanged.  Its ``values`` and
-``gaps`` are built only on demand, by the tests.  The solver reads
-the source rows in blocks instead (:func:`row_blocks`), so one solve
-holds the valuation matrix and O(n) state besides, plus the matcher's
-n x n booleans and the arcs efpm keeps.
+It stands for both the reordered matrix and the utility-gap matrix, so
+:func:`build_gap_matrix` returns it unchanged, and it builds neither as
+an array: the solver reads the source rows in blocks instead
+(:func:`row_blocks`), so one solve holds the valuation matrix and O(n)
+state besides, plus the matcher's n x n booleans and the arcs efpm
+keeps.
 """
 
 from __future__ import annotations
@@ -92,13 +92,17 @@ def _owned_int64(arr) -> bool:
     )
 
 
-def _as_int_matrix(values) -> np.ndarray:
-    if _owned_int64(values):
-        return values
+def _int64_copy(values, what: str) -> np.ndarray:
+    """An int64 copy of values, refusing a non-integer dtype: ``astype``
+    would truncate 0.7 to 0 and read True as 1."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
-        raise TypeError(f"integer valuations required, got dtype {arr.dtype}")
+        raise TypeError(f"integer {what} required, got dtype {arr.dtype}")
     return arr.astype(np.int64)
+
+
+def _as_int_matrix(values) -> np.ndarray:
+    return values if _owned_int64(values) else _int64_copy(values, "valuations")
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ class Allocation:
     weight: int
 
     def __post_init__(self):
-        arr = np.array(self.assignment, dtype=np.int64)
+        arr = _int64_copy(self.assignment, "assignment")
         if arr.ndim != 1:
             raise ValueError("assignment must be a flat index array")
         n = arr.shape[0]
@@ -160,14 +164,13 @@ class Allocation:
     @classmethod
     def from_assignment(cls, v: ValuationMatrix, assignment) -> "Allocation":
         """Build an allocation, recomputing its weight from the matrix."""
-        arr = np.asarray(assignment, dtype=np.int64)
-        if arr.shape != (v.n,):
-            raise ValueError(
-                f"assignment length {arr.shape} does not match matrix size {v.n}"
-            )
         # Built before the matrix is indexed, so that an item index out of
         # range is refused as not a permutation.
-        allocation = cls(assignment=arr, weight=0)
+        allocation = cls(assignment=assignment, weight=0)
+        if allocation.n != v.n:
+            raise ValueError(
+                f"assignment length {allocation.n} does not match matrix size {v.n}"
+            )
         weight = int(v.values[np.arange(v.n), allocation.assignment].sum())
         object.__setattr__(allocation, "weight", weight)
         return allocation
@@ -189,14 +192,14 @@ class ReorderedValuation:
 
     Held as a view over three arrays: the source matrix, the
     item-to-consumer order and the winning valuations, winning[k] =
-    source[order[k]][k].  Row i of ``values`` is the row of the consumer
-    who won item i, so its diagonal holds the winning valuations and
-    sums to the allocation weight.  ``gaps`` is the utility-gap matrix,
-    gaps[j][k] = values[j][k] - winning[k]: the amount by which item j's
-    winner would prefer item k over their own item if item k were
-    priced at its winner's full valuation; its diagonal is identically
-    zero.  Both are built anew, as read-only n x n arrays, each time
-    they are read; the pricing methods read the source rows instead.  An
+    source[order[k]][k].  Row i of the reordered matrix V' is
+    source[order[i]], the row of the consumer who won item i, so its
+    diagonal holds the winning valuations and sums to the allocation
+    weight.  The utility-gap matrix is gaps[j][k] = V'[j][k] -
+    winning[k]: the amount by which item j's winner would prefer item k
+    over their own item if item k were priced at its winner's full
+    valuation; its diagonal is identically zero.  Neither is held as an
+    n x n array: the pricing methods read the source rows in blocks.  An
     explicit gap array g is the view (g, identity, zeros).
 
     When the allocation is welfare-optimal, every directed cycle over
@@ -213,8 +216,8 @@ class ReorderedValuation:
         if source.ndim != 2 or source.shape[0] != source.shape[1]:
             raise ValueError(f"gap matrix must be square, got shape {source.shape}")
         n = source.shape[0]
-        order = np.array(self.order, dtype=np.int64)
-        winning = np.array(self.winning, dtype=np.int64)
+        order = _int64_copy(self.order, "order")
+        winning = _int64_copy(self.winning, "winning valuations")
         if order.shape != (n,) or winning.shape != (n,):
             raise ValueError(
                 f"order {order.shape} and winning {winning.shape} must have length {n}"
@@ -230,19 +233,6 @@ class ReorderedValuation:
     @property
     def n(self) -> int:
         return self.order.shape[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        arr = np.take(self.source, self.order, axis=0)
-        arr.flags.writeable = False
-        return arr
-
-    @property
-    def gaps(self) -> np.ndarray:
-        arr = np.take(self.source, self.order, axis=0)
-        arr -= self.winning
-        arr.flags.writeable = False
-        return arr
 
 
 def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:

@@ -12,29 +12,24 @@ Instance text format:
     lines 2 .. n + 1:    n whitespace-separated nonnegative integers
 
 Reading and writing run in numpy and build no Python object per entry.
-:func:`parse` checks the header and the row count on ``splitlines()``,
-reads the body with ``np.loadtxt`` and checks its shape and bounds with
-array operations.  That fast path is taken only for ASCII text without
-blank lines: ``loadtxt`` skips blank lines, and on numpy 2.4 it reads
-some non-ASCII letters as digits (5, U+01FE, 6 reads as 5126).  When
-the fast path is not taken or refuses the body (an unreadable token, a
-ragged row, a negative entry or one above the bound), the per-token loop
-reads the text again.  The loop is the only place that words a
-:class:`ParseError`, and it also accepts what ``int()`` accepts but
-``loadtxt`` does not (``1_000``, non-ASCII digits), so both paths accept
-the same texts with the same values.  :func:`serialize` and
-:func:`write_instance` format blocks of entries one decimal place at a
-time into a place-major digit table (one row per place, one column per
-entry), dividing in int32 when the matrix maximum fits, and keep each
-place whose quotient is nonzero; the blocks bound their working memory.
+One block reader, :func:`_read_plain`, reads every plain instance (ASCII
+digits, spaces, tabs and line ends) in blocks of rows of about
+``_BLOCK`` entries, with ``np.loadtxt``, straight into the one n x n
+array it returns, so it never holds the whole text or its list of
+lines.  :func:`read_instance` streams a file through it, and
+:func:`parse` hands it an ASCII text.  What it refuses (a blank line, a
+sign, a ragged row, an entry above the bound, any other character) is
+read by the per-token loop, on the whole text.  The loop is the only
+place that words a :class:`ParseError`, and it also accepts what
+``int()`` accepts but ``loadtxt`` does not (``1_000``, non-ASCII
+digits), so both readers give the same values.  A file that is not
+UTF-8 raises :class:`ParseError` too.
 
-:func:`read_instance` streams: it reads a file of plain ASCII digits,
-spaces and newlines in blocks of rows of about ``_BLOCK`` entries each,
-straight into the one n x n array it returns, so it never holds the
-whole text or its list of lines.  A file with any other byte (a tab, a
-carriage return, a sign, a non-ASCII digit) or with a row that the block
-reader refuses is read whole and handed to :func:`parse`, which gives
-the same value or words the same error.
+:func:`serialize` and :func:`write_instance` format blocks of entries
+one decimal place at a time into a place-major digit table (one row
+per place, one column per entry), dividing in int32 when the matrix
+maximum fits, and keep each place whose quotient is nonzero; the
+blocks bound their working memory.
 
 Solution files are a single canonical JSON document (sorted keys, no
 spaces, one trailing newline) holding assignment, prices, revenue and
@@ -44,6 +39,7 @@ record so that repeated solves of one instance are byte-identical.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections.abc import Iterator
@@ -125,11 +121,11 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
 
 #: Entries drawn per block by :func:`generate` and formatted per block by
 #: :func:`serialize`, and about the entries read per block by
-#: :func:`read_instance`.  Each entry takes a few dozen bytes of
+#: :func:`_read_plain`.  Each entry takes a few dozen bytes of
 #: temporaries, so a block works in about 1 MiB.
 _BLOCK = 1 << 14
-#: The bytes a streamed instance may hold; any other sends it to parse.
-_PLAIN = b"0123456789 \n"
+#: The bytes a plain line may hold, besides a carriage return at its end.
+_PLAIN = b"0123456789 \t\n"
 
 
 def serialize(v: ValuationMatrix) -> str:
@@ -176,6 +172,17 @@ def _render(v: ValuationMatrix) -> Iterator[bytes | np.ndarray]:
 
 def parse(text: str) -> ValuationMatrix:
     """Parse the instance text format, rejecting anything malformed."""
+    # Only ASCII can be plain, and a lone surrogate cannot even be encoded.
+    if text.isascii():
+        data = text.encode()
+        values = _read_plain(io.BytesIO(data), len(data))
+        if values is not None:
+            return ValuationMatrix(values)
+    return ValuationMatrix(_parse_tokens(text))
+
+
+def _parse_tokens(text: str) -> np.ndarray:
+    """Read the text token by token, raising the ParseError for the first fault."""
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty instance file")
@@ -188,27 +195,6 @@ def parse(text: str) -> ValuationMatrix:
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} rows, found {len(body)}")
-    values = _load_body(text, body, n)
-    if values is None:
-        values = _parse_tokens(body, n)
-    return ValuationMatrix(values)
-
-
-def _load_body(text: str, body: list[str], n: int):
-    """The body as an n x n int64 array, or None where the token loop must decide."""
-    if not text.isascii() or not all(line and not line.isspace() for line in body):
-        return None
-    try:
-        values = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):
-        return None
-    if values.shape != (n, n) or values.min() < 0 or values.max() > max_entry_for(n):
-        return None
-    return values
-
-
-def _parse_tokens(body: list[str], n: int) -> np.ndarray:
-    """Read the body token by token, raising the ParseError for the first fault."""
     bound = max_entry_for(n)
     rows = []
     for r, line in enumerate(body):
@@ -239,43 +225,43 @@ def write_instance(v: ValuationMatrix, path) -> None:
 
 
 def read_instance(path) -> ValuationMatrix:
-    """Read an instance file, streaming it when it is plain (see above)."""
-    values = _read_plain(path)
+    """Read an instance file: streamed when plain, else read whole by parse."""
+    with open(path, "rb") as fh:
+        values = _read_plain(fh, os.fstat(fh.fileno()).st_size)
     if values is None:
-        return parse(Path(path).read_text())
+        return parse(_read_text(path))
     return ValuationMatrix(values)
 
 
-def _read_plain(path):
-    """The matrix of a plain instance file, or None where parse must decide.
+def _read_plain(fh, size: int):
+    """The matrix of a plain instance, or None where the token loop must decide.
 
-    Plain means: a header of digits and spaces, then exactly n rows of
-    digits and spaces, each ended by a newline (the last one may end at
-    the end of the file instead), and nothing after them.  Every row
-    must hold n entries within the bound.  Each block of rows is read
-    with ``np.loadtxt``, which agrees with ``int()`` on plain digits.
-    The matrix is allocated only once the file is large enough to hold
-    it, at two bytes or more per entry, so a wrong header cannot ask for
-    more than four times the file's size.
+    fh is an open binary file of size bytes.  Plain means: a header,
+    then exactly n rows of n entries within the bound, each line of
+    digits, spaces and tabs, ended by a newline or a carriage return
+    and newline (the last line may end at the end of the file instead,
+    or in a lone carriage return), and nothing after them.  The matrix
+    is allocated only once the file is large enough to hold it, at two
+    bytes or more per entry, so a wrong header cannot ask for more than
+    four times the file's size.
     """
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if not _is_plain_line(header):
+    header = fh.readline()
+    if not _is_plain_line(header):
+        return None
+    try:
+        n = int(header)
+    except ValueError:
+        return None
+    if n < 1 or size < len(header) + 2 * n * n - 1:
+        return None
+    bound = max_entry_for(n)
+    values = np.empty((n, n), dtype=np.int64)
+    step = max(1, _BLOCK // n)
+    for start in range(0, n, step):
+        if not _read_plain_rows(fh, values[start : start + step], bound):
             return None
-        try:
-            n = int(header)
-        except ValueError:
-            return None
-        if n < 1 or os.fstat(fh.fileno()).st_size < len(header) + 2 * n * n - 1:
-            return None
-        bound = max_entry_for(n)
-        values = np.empty((n, n), dtype=np.int64)
-        step = max(1, _BLOCK // n)
-        for start in range(0, n, step):
-            if not _read_plain_rows(fh, values[start : start + step], bound):
-                return None
-        if fh.read(1):
-            return None
+    if fh.read(1):
+        return None
     return values
 
 
@@ -299,8 +285,14 @@ def _read_plain_rows(fh, out: np.ndarray, bound: int) -> bool:
 
 
 def _is_plain_line(line: bytes) -> bool:
-    # loadtxt skips blank rows, which parse counts.
-    return bool(line) and not line.isspace() and not line.translate(None, _PLAIN)
+    # loadtxt skips blank rows, which the token loop counts; splitlines()
+    # ends a row at any carriage return, so one may only end the line.
+    rest = line.translate(None, _PLAIN)
+    return (
+        bool(line)
+        and not line.isspace()
+        and (not rest or rest == b"\r" and line.endswith((b"\r\n", b"\r")))
+    )
 
 
 @dataclass(frozen=True)
@@ -378,4 +370,11 @@ def write_solution(record: SolutionRecord, path) -> None:
 
 
 def read_solution(path) -> SolutionRecord:
-    return SolutionRecord.from_json(Path(path).read_text())
+    return SolutionRecord.from_json(_read_text(path))
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None

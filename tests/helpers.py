@@ -20,6 +20,16 @@ def explicit_gaps(rows):
     )
 
 
+def reordered_values(u):
+    """The reordered matrix V' of a view: row i is the row of item i's winner."""
+    return np.take(u.source, u.order, axis=0)
+
+
+def gap_array(u):
+    """The gap matrix of a view as an array: gaps[j][k] = V'[j][k] - winning[k]."""
+    return reordered_values(u) - u.winning
+
+
 @contextlib.contextmanager
 def blocks_of(entries):
     """Run the blocked passes over matrix rows in blocks of about this many entries."""
@@ -46,7 +56,7 @@ def reference_efpm(u):
     raises NonOptimalAllocation after that many sweeps.
     """
     n = u.n
-    gaps = u.gaps
+    gaps = gap_array(u)
     y = gaps.max(axis=1)
     work = np.empty_like(gaps)
     iterations = 0
@@ -66,7 +76,7 @@ def reference_minimality(u, y):
     """Whether y is minimal, growing the reached set in dense n x n rounds."""
     vec = np.asarray(y.y, dtype=np.int64)
     n = u.n
-    diff = vec[:, np.newaxis] - vec[np.newaxis, :] - u.gaps
+    diff = vec[:, np.newaxis] - vec[np.newaxis, :] - gap_array(u)
     if diff.min() < 0:
         return False
     tight = (diff == 0) & ~np.eye(n, dtype=bool)

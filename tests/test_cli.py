@@ -90,6 +90,17 @@ class TestSolve:
         assert run_cli("solve", str(path)) == 2
 
 
+@pytest.mark.parametrize("command", ["solve BAD", "verify BAD SOL", "verify INST BAD"])
+def test_a_file_that_is_not_utf8_is_usage_error(command, instance_2x2, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2\n5 4\n1 \xff\n")
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"assignment":[0,1],"iterations_used":0,"n":2,"prices":[3,2],"revenue":5}\n')
+    names = {"BAD": str(bad), "INST": str(instance_2x2), "SOL": str(sol)}
+    assert run_cli(*[names.get(word, word) for word in command.split()]) == 2
+    assert capsys.readouterr().err.startswith("error: not UTF-8 text")
+
+
 @pytest.mark.parametrize("command", ["solve DIR", "solve INST --out DIR", "verify INST DIR"])
 def test_a_directory_for_a_file_is_usage_error(command, instance_2x2, tmp_path, capsys):
     # Exit 1 is verify's answer that a record is wrong; an unreadable or

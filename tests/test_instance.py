@@ -11,6 +11,7 @@ from efpricing import (
     generate,
     parse,
     read_instance,
+    read_solution,
     serialize,
     write_instance,
 )
@@ -137,6 +138,12 @@ class TestInstanceFormat:
         with pytest.raises(ParseError, match="empty"):
             parse("")
 
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "instance.txt"
+        path.write_bytes(b"2\n5 4\n1 \xff\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_instance(path)
+
 
 class TestSolutionRecord:
     def test_canonical_json_bytes(self):
@@ -195,6 +202,12 @@ class TestSolutionRecord:
     def test_a_document_that_is_not_an_object_is_refused(self):
         with pytest.raises(ParseError, match="malformed solution record"):
             SolutionRecord.from_json("[2, 5]")
+
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "sol.json"
+        path.write_bytes(b'{"n":\xff}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_solution(path)
 
     def test_int64_extremes_are_accepted(self):
         lo, hi = -(2**63), 2**63 - 1

@@ -144,6 +144,9 @@ def test_parse_matches_the_token_loop(text):
     "2\n1 2\n\n3 4\n",
     "2\n\n\n",
     "2\r\n1 2\r\n3 4\r\n",
+    "\r2\n1 2\n3 4\n",
+    "2\r\r\n1 2\n3 4\n",
+    "2\n1 2\n3 4\r\r",
     "2\n1\x0b2\n3 4\n",
     "2\n1 2\x0c3 4\n",
     "2\n+5 -0\n1_000 ٣\n",
@@ -152,6 +155,7 @@ def test_parse_matches_the_token_loop(text):
     "2\n1.0 2\n3 4\n",
     "2\n5,2 1\n3 4\n",
     "2\n1 -3\n3 4\n",
+    "2\n\ud800 1\n2 3\n",
     f"1\n{2**63}\n",
     f"2\n{max_entry_for(2)} 0\n0 {max_entry_for(2) + 1}\n",
     "3\n1 2 3\n4 5\n6 7 8\n",
@@ -162,14 +166,28 @@ def test_parse_matches_the_token_loop_on_known_pitfalls(text):
     assert outcome(parse, text) == outcome(reference_parse, text)
 
 
+#: Rows per block are _BLOCK // n, so one block holds n = 127 rows with
+#: two to spare, n = 128 rows exactly, and n = 129 rows but two.
+BOUNDARY_SIZES = [127, 128, 129]
+assert [instance._BLOCK // n - n for n in BOUNDARY_SIZES] == [2, 0, -2]
+
+
+def renderings(v):
+    """The instance text of v as written, tab-separated and with CRLF line ends."""
+    text = serialize(v)
+    return [text, text.replace(" ", "\t"), text.replace("\n", "\r\n")]
+
+
 def test_plain_ascii_never_reaches_the_token_loop(monkeypatch):
-    def refuse(body, n):
+    def refuse(text):
         raise AssertionError("the token loop ran on a plain instance")
 
     monkeypatch.setattr(instance, "_parse_tokens", refuse)
-    for n, max_value in ((1, 0), (7, max_entry_for(7)), (40, 10**6)):
+    sizes = [(1, 0), (7, max_entry_for(7)), (40, 10**6)] + [(n, 10**6) for n in BOUNDARY_SIZES]
+    for n, max_value in sizes:
         v = generate(n, n, max_value)
-        assert np.array_equal(parse(serialize(v)).values, v.values)
+        for text in renderings(v):
+            assert np.array_equal(parse(text).values, v.values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,9 +228,13 @@ def test_generated_instance_digest():
 
 
 def read_outcome(tmp_path, text):
-    """read_instance on text written as a file, as outcome() reports it."""
+    """read_instance on text written as a file, as outcome() reports it.
+
+    A lone surrogate, which has no UTF-8 form, is written as the three
+    bytes that would encode it.
+    """
     path = tmp_path / "instance.txt"
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode(errors="surrogatepass"))
     return outcome(lambda _: read_instance(path), text)
 
 
@@ -233,12 +255,6 @@ def replace_row(text, r, row):
     return "\n".join(lines)
 
 
-#: Rows per block are _BLOCK // n, so one block holds n = 127 rows with
-#: two to spare, n = 128 rows exactly, and n = 129 rows but two.
-BOUNDARY_SIZES = [127, 128, 129]
-assert [instance._BLOCK // n - n for n in BOUNDARY_SIZES] == [2, 0, -2]
-
-
 @pytest.mark.parametrize("text", [
     "2\n1\x0b2\n3 4\n",
     "2\n1 2\x0c3 4\n",
@@ -246,6 +262,10 @@ assert [instance._BLOCK // n - n for n in BOUNDARY_SIZES] == [2, 0, -2]
     "2\n1 2\x1d3 4\n",
     "2\n1 2\n3 4\x1e",
     "2\n1 2\r3 4\r",
+    "2\n1\r2\n3 4\n",
+    "2\n1 2\n3 4\r",
+    "2\n1 2\n3 4\r\r",
+    "\r2\n1 2\n3 4\n",
     "2\r\n1 2\r\n3 4\r\n",
     "2\n1 2\n3 4",
     "2\n1 2\n3 4\n\n",
@@ -273,10 +293,16 @@ assert [instance._BLOCK // n - n for n in BOUNDARY_SIZES] == [2, 0, -2]
     "3\n1 2 3\n4 5 6 7\n8 9\n",
     "2\n1\t2\n3 4\n",
     "2\n1 2\n3 ٣\n",
+    "2\n\ud800 1\n2 3\n",
 ])
 @pytest.mark.filterwarnings("error")
 def test_read_instance_matches_parse_on_fixed_cases(tmp_path, text):
-    assert read_outcome(tmp_path, text) == outcome(parse, text)
+    got, expected = read_outcome(tmp_path, text), outcome(parse, text)
+    if "\ud800" in text:
+        # Its file is not UTF-8, which read_instance refuses first.
+        assert got[0] == expected[0] == "error" and got[1].startswith("not UTF-8")
+    else:
+        assert got == expected
 
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
@@ -316,3 +342,6 @@ def test_plain_files_are_streamed_not_parsed(tmp_path, monkeypatch):
         path = tmp_path / f"plain-{n}.txt"
         write_instance(v, path)
         assert np.array_equal(read_instance(path).values, v.values)
+        for text in renderings(v)[1:]:
+            path.write_bytes(text.encode())
+            assert np.array_equal(read_instance(path).values, v.values)

@@ -16,7 +16,7 @@ from efpricing import (
 )
 from efpricing.cli import solve_and_price
 
-from helpers import explicit_gaps, random_matrix, reference_efpm
+from helpers import explicit_gaps, random_matrix, reference_efpm, reordered_values
 
 ALL_METHODS = [prices_efpm, prices_bellman_ford]
 
@@ -142,7 +142,7 @@ class TestConvergedProperties:
             # The dense loop's fixed point.
             assert np.array_equal(reference_efpm(gaps)[0], y)
             # Price bounds and revenue accounting.
-            diag = np.diagonal(vp.values)
+            diag = np.diagonal(reordered_values(vp))
             assert np.all(prices.p >= 0)
             assert np.all(prices.p <= diag)
             assert prices.revenue == int(vp.winning.sum()) - int(y.sum())

@@ -38,7 +38,7 @@ from efpricing.core import max_entry_for
 
 from efpricing import pricing
 
-from helpers import blocks_of, chain, reference_efpm, reference_minimality
+from helpers import blocks_of, chain, gap_array, reference_efpm, reference_minimality
 
 
 def reference_bellman_ford(u):
@@ -52,7 +52,7 @@ def reference_bellman_ford(u):
     offdiag = ~np.eye(n, dtype=bool)
     heads = np.repeat(idx, n - 1)
     tails = np.tile(idx, (n, 1))[offdiag]
-    weights = (-u.gaps)[offdiag]
+    weights = (-gap_array(u))[offdiag]
     d = np.zeros(n, dtype=np.int64)
     passes = 0
     while True:
@@ -199,7 +199,7 @@ def test_minimality_certificate_matches_the_round_loop(data):
                      dtype=np.int64)
     y = start
     for _ in range(n):
-        y = (gaps.gaps + y[np.newaxis, :]).max(axis=1)
+        y = (gap_array(gaps) + y[np.newaxis, :]).max(axis=1)
     for vec in (start, y, y - y.min()):
         utilities = UtilityVector(y=vec, iterations_used=0)
         assert minimality_certificate(gaps, utilities) == reference_minimality(gaps, utilities)
