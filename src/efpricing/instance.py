@@ -14,16 +14,22 @@ Instance text format:
 Reading and writing run in numpy and build no Python object per entry.
 One block reader, :func:`_read_plain`, reads every plain instance (ASCII
 digits, spaces, tabs and line ends) in blocks of rows of about
-``_BLOCK`` entries, with ``np.loadtxt``, straight into the one n x n
-array it returns, so it never holds the whole text or its list of
-lines.  :func:`read_instance` streams a file through it, and
-:func:`parse` hands it an ASCII text.  What it refuses (a blank line, a
-sign, a ragged row, an entry above the bound, any other character) is
-read by the per-token loop, on the whole text.  The loop is the only
-place that words a :class:`ParseError`, and it also accepts what
-``int()`` accepts but ``loadtxt`` does not (``1_000``, non-ASCII
-digits), so both readers give the same values.  A file that is not
-UTF-8 raises :class:`ParseError` too.
+``_READ_BLOCK`` entries, straight into the one n x n array it returns,
+so it never holds the whole text or its list of lines.  It reads a
+block a word at a time: it checks the block's bytes by counting each
+kind, finds every token's last digit in one pass over the digit mask,
+gathers the eight bytes that end there as one 64-bit word and folds the
+word's digits into their number in three multiply-shift steps; a token
+of more than eight digits adds the words before it.
+:func:`read_instance` streams a file through it, and :func:`parse`
+hands it an ASCII text.  What it refuses (a blank line, a sign, a
+ragged row, a token of more than 19 digits, an entry above the bound,
+any other character) is read once more, whole, by the per-token loop.
+The loop is the only place that words a :class:`ParseError`, and it
+also accepts what ``int()`` accepts but the block reader does not
+(``1_000``, non-ASCII digits, a zero-padded token of 20 digits), so
+both readers give the same values.  A file that is not UTF-8 raises
+:class:`ParseError` too.
 
 :func:`serialize` and :func:`write_instance` format blocks of entries
 one decimal place at a time into a place-major digit table (one row
@@ -120,12 +126,22 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
 
 
 #: Entries drawn per block by :func:`generate` and formatted per block by
-#: :func:`serialize`, and about the entries read per block by
-#: :func:`_read_plain`.  Each entry takes a few dozen bytes of
-#: temporaries, so a block works in about 1 MiB.
+#: :func:`serialize`.  Each entry takes a few dozen bytes of temporaries,
+#: so a block works in about 1 MiB.
 _BLOCK = 1 << 14
-#: The bytes a plain line may hold, besides a carriage return at its end.
+#: About the entries read per block by :func:`_read_plain`.  Each holds
+#: its bytes, its token end and a word or two, about 24 bytes, so a block
+#: works in about 0.2 MiB.
+_READ_BLOCK = _BLOCK // 2
+#: The bytes a plain header may hold, besides a carriage return at its end.
 _PLAIN = b"0123456789 \t\n"
+#: Put before each block's rows, so that the eight bytes that end at any
+#: token's last digit, and the sixteen before them, lie in the block.
+_FRONT = b" " * 8
+#: Bit 4 of every byte: set in each digit, clear in space, tab, \n and \r.
+_DIGIT_BITS = 0x1010101010101010
+#: The digit bits of a word's four lowest bytes.
+_FOUR_DIGITS = 0x10101010
 
 
 def serialize(v: ValuationMatrix) -> str:
@@ -225,11 +241,13 @@ def write_instance(v: ValuationMatrix, path) -> None:
 
 
 def read_instance(path) -> ValuationMatrix:
-    """Read an instance file: streamed when plain, else read whole by parse."""
-    with open(path, "rb") as fh:
+    """Read an instance file: streamed when plain, else by the token loop."""
+    # A buffer of about half a block's bytes: the default 8 KiB costs a
+    # read call for every three rows of a file with n = 400.
+    with open(path, "rb", buffering=4 * _READ_BLOCK) as fh:
         values = _read_plain(fh, os.fstat(fh.fileno()).st_size)
     if values is None:
-        return parse(_read_text(path))
+        values = _parse_tokens(_read_text(path))
     return ValuationMatrix(values)
 
 
@@ -240,10 +258,12 @@ def _read_plain(fh, size: int):
     then exactly n rows of n entries within the bound, each line of
     digits, spaces and tabs, ended by a newline or a carriage return
     and newline (the last line may end at the end of the file instead,
-    or in a lone carriage return), and nothing after them.  The matrix
-    is allocated only once the file is large enough to hold it, at two
-    bytes or more per entry, so a wrong header cannot ask for more than
-    four times the file's size.
+    or in a lone carriage return), and nothing after them; no token has
+    more than 19 digits.  The rows are read in blocks of about
+    ``_READ_BLOCK`` entries, each a word at a time by
+    :func:`_read_plain_rows`.  The matrix is allocated only once the file
+    is large enough to hold it, at two bytes or more per entry, so a
+    wrong header cannot ask for more than four times the file's size.
     """
     header = fh.readline()
     if not _is_plain_line(header):
@@ -256,7 +276,7 @@ def _read_plain(fh, size: int):
         return None
     bound = max_entry_for(n)
     values = np.empty((n, n), dtype=np.int64)
-    step = max(1, _BLOCK // n)
+    step = max(1, _READ_BLOCK // n)
     for start in range(0, n, step):
         if not _read_plain_rows(fh, values[start : start + step], bound):
             return None
@@ -268,25 +288,105 @@ def _read_plain(fh, size: int):
 def _read_plain_rows(fh, out: np.ndarray, bound: int) -> bool:
     """Fill out with the next rows of fh; False if they are not plain.
 
-    A function of its own, so that one block's lines and array are freed
-    before the next block is read.
+    The rows are joined behind ``_FRONT`` and read as one byte array.
+    Every byte must be a digit, a space, a tab, a newline or a carriage
+    return that ends a line; row j must end after token n * (j + 1).  The
+    eight bytes that end at each token's last digit are gathered as one
+    word, straight into out, and :func:`_fold_digits` turns each word
+    into its number.  A token of more than eight digits adds the words
+    before it; one of more than nineteen, or an entry above the bound,
+    is not plain.  A function of its own, so that one block's bytes and
+    arrays are freed before the next block is read.
     """
-    lines = [fh.readline() for _ in range(out.shape[0])]
-    if not all(map(_is_plain_line, lines)):
+    k, n = out.shape
+    lines = [fh.readline() for _ in range(k)]
+    # The last byte of each row: its newline, unless the file ends there.
+    stops = np.fromiter(map(len, lines), np.intp, k).cumsum() + (len(_FRONT) - 1)
+    data = b"".join([_FRONT, *lines, b" "])
+    del lines
+    a = np.frombuffer(data, dtype=np.uint8)
+    digit = (a - 48) < 10
+    plain = np.count_nonzero(digit) + np.count_nonzero(a == 32) + np.count_nonzero(a == 10)
+    if plain < a.size:
+        returns = np.flatnonzero(a == 13)
+        if plain + np.count_nonzero(a == 9) + returns.size < a.size:
+            return False
+        # splitlines() ends a row at any carriage return, so one may only
+        # end a line: before its newline, or as the last byte of the file.
+        if not np.all((a[returns + 1] == 10) | (returns == a.size - 2)):
+            return False
+    # Each array is dropped once used, so a block holds at most its bytes
+    # and two arrays of one word per token.
+    last = digit[:-1] > digit[1:]
+    del digit
+    at = np.flatnonzero(last)
+    del last
+    if not (np.searchsorted(at, stops, side="right") == np.arange(n, n * k + 1, n)).all():
         return False
-    try:
-        block = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):
-        return False
-    if block.shape != out.shape or block.max() > bound:
-        return False
-    out[...] = block
-    return True
+    # Word i is bytes i .. i + 7 read big-endian, so the word that ends at
+    # a token's last digit holds its units digit in its lowest byte.
+    words = np.ndarray(a.size - 7, dtype=">u8", buffer=data, strides=(1,))
+    at -= 7
+    value = out.reshape(-1).view(np.uint64)
+    value[...] = words[at]
+    full = np.flatnonzero(_fold_digits(value))
+    if full.size:
+        # A token that fills its word may go on in the word before.
+        at = at[full] - 8
+        high = words[at].astype(np.uint64)
+        deep = np.flatnonzero(_fold_digits(high))
+        high *= 10**8
+        value[full] += high
+        if deep.size:
+            top = words[at[deep] - 8].astype(np.uint64)
+            # A twentieth digit: more than any entry within a bound has.
+            if np.any((top & _FOUR_DIGITS) == _FOUR_DIGITS):
+                return False
+            _fold_digits(top)
+            top *= 10**16
+            value[full[deep]] += top
+    return not value.max() > bound
+
+
+def _fold_digits(w: np.ndarray) -> np.ndarray:
+    """Replace each word by the number that its lowest digits spell.
+
+    The words are modified in place.  A byte is cleared when it, or a
+    byte below it, is not a digit: multiplying the non-digit flags by
+    ``0x0101010101010101`` adds to each byte the flags of the bytes
+    below it.  The digits left are folded pairwise in three
+    multiply-shift steps (Langdale and Lemire's eight-digit parse).
+    Returns whether each word was all digits, that is, whether its token
+    goes on in the word before.
+    """
+    other = ~w
+    other &= _DIGIT_BITS
+    full = other == 0
+    # After the multiply each byte counts, 0x10 apiece, the non-digits at
+    # or below it: at most eight, so no byte carries into the next.  Adding
+    # 0x70 sets bit 7 of each byte that counts one or more.
+    other *= 0x0101010101010101
+    other += 0x7070707070707070
+    other &= 0x8080808080808080
+    other >>= 7
+    other *= 0x0F
+    other ^= 0x0F0F0F0F0F0F0F0F  # the low four bits of each byte to keep
+    w &= other
+    del other
+    w *= 2**8 + 10
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 2**16 + 100
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 2**32 + 10000
+    w >>= 32
+    return full
 
 
 def _is_plain_line(line: bytes) -> bool:
-    # loadtxt skips blank rows, which the token loop counts; splitlines()
-    # ends a row at any carriage return, so one may only end the line.
+    # The header: splitlines() ends it at any carriage return, so one may
+    # only end the line.
     rest = line.translate(None, _PLAIN)
     return (
         bool(line)

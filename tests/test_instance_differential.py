@@ -77,8 +77,9 @@ def outcome(read, text):
         return "error", str(exc)
 
 
-#: Tokens that int() and np.loadtxt read differently, or that one of them
-#: misreads: U+01FE between digits is read as a digit by loadtxt.
+#: Tokens that are not runs of ASCII digits, which int() reads in its own
+#: ways (a sign, an underscore, a non-ASCII digit) or refuses (U+01FE
+#: between digits, a comma, an exponent), and entries of 19 and 20 digits.
 ODD_TOKENS = [
     "+5", "-0", "-7", "007", "1_000", "٣", "5Ǿ6", "#5", "1.0", "5,2",
     "1e3", "0x10", str(2**63), str(2**64 + 5), "-" + str(2**63 + 1),
@@ -166,10 +167,12 @@ def test_parse_matches_the_token_loop_on_known_pitfalls(text):
     assert outcome(parse, text) == outcome(reference_parse, text)
 
 
-#: Rows per block are _BLOCK // n, so one block holds n = 127 rows with
-#: two to spare, n = 128 rows exactly, and n = 129 rows but two.
-BOUNDARY_SIZES = [127, 128, 129]
-assert [instance._BLOCK // n - n for n in BOUNDARY_SIZES] == [2, 0, -2]
+#: Rows per block are _READ_BLOCK // n, so n = 90 fits in one block with
+#: a row to spare, n = 91 leaves one row for a second block, n = 127 is
+#: read in blocks of 64 and 63 rows, n = 128 in two of 64, and n = 129 in
+#: blocks of 63, 63 and 3.
+BOUNDARY_SIZES = [90, 91, 127, 128, 129]
+assert [n % (instance._READ_BLOCK // n) for n in BOUNDARY_SIZES] == [90, 1, 63, 0, 3]
 
 
 def renderings(v):
@@ -294,10 +297,20 @@ def replace_row(text, r, row):
     "2\n1\t2\n3 4\n",
     "2\n1 2\n3 ٣\n",
     "2\n\ud800 1\n2 3\n",
+    # Tokens of 7, 8, 9, 16, 17 and 19 digits; the block's first token is
+    # read from a word that reaches into the bytes put before the rows.
+    "2\n1234567 12345678\n123456789 1234567890123456\n",
+    "2\n1234567890123456 12345678901234567\n1234567890123456789 0\n",
+    f"1\n{max_entry_for(1)}\n",
+    "2\n00000000000000000005 1\n2 3\n",
+    "2\n 1 \t  2\t\n3\t \t4  \n",
+    # Each byte next to the plain ones, and two beyond ASCII.
+    *[f"2\n1 {c}2\n3 4\n" for c in "/:+-,_\x0b\x0c\x80\xa0"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_read_instance_matches_parse_on_fixed_cases(tmp_path, text):
     got, expected = read_outcome(tmp_path, text), outcome(parse, text)
+    assert expected == outcome(reference_parse, text)
     if "\ud800" in text:
         # Its file is not UTF-8, which read_instance refuses first.
         assert got[0] == expected[0] == "error" and got[1].startswith("not UTF-8")
@@ -309,10 +322,12 @@ def test_read_instance_matches_parse_on_fixed_cases(tmp_path, text):
 @pytest.mark.parametrize("fault", [
     "none", "no final newline", "trailing blank line", "blank last row", "tab in last row",
     "short last row", "over bound in last row", "missing last row",
+    "carriage return ends the first block", "bound opens the last block",
 ])
 def test_read_instance_matches_parse_at_block_boundaries(tmp_path, n, fault):
     text = plain_text(n)
     last = " ".join(["7"] * n)
+    rows = instance._READ_BLOCK // n
     if fault == "no final newline":
         text = text[:-1]
     elif fault == "trailing blank line":
@@ -327,9 +342,20 @@ def test_read_instance_matches_parse_at_block_boundaries(tmp_path, n, fault):
         text = replace_row(text, n - 1, last + "0" * 18)
     elif fault == "missing last row":
         text = text[: text.rindex("\n", 0, -1) + 1]
+    elif fault == "carriage return ends the first block":
+        # The file's last byte when one block holds every row, else a lone
+        # line end that the token loop reads.
+        at = len(text) - len(text.split("\n", min(rows, n) + 1)[-1]) - 1
+        text = text[:at] + "\r" + text[at + 1 :]
+    elif fault == "bound opens the last block":
+        r = (n - 1) // rows * rows
+        text = replace_row(text, r, " ".join([str(max_entry_for(n))] + ["7"] * (n - 1)))
     expected = outcome(parse, text)
-    assert read_outcome(tmp_path, text) == expected
-    assert (expected[0] == "ok") == (fault in ("none", "no final newline", "tab in last row"))
+    assert read_outcome(tmp_path, text) == expected == outcome(reference_parse, text)
+    assert (expected[0] == "ok") == (fault in (
+        "none", "no final newline", "tab in last row", "carriage return ends the first block",
+        "bound opens the last block",
+    ))
 
 
 def test_plain_files_are_streamed_not_parsed(tmp_path, monkeypatch):
@@ -337,6 +363,7 @@ def test_plain_files_are_streamed_not_parsed(tmp_path, monkeypatch):
         raise AssertionError("a plain file was read whole")
 
     monkeypatch.setattr(instance, "parse", refuse)
+    monkeypatch.setattr(instance, "_parse_tokens", refuse)
     for n in (1, 2, *BOUNDARY_SIZES, 300):
         v = generate(n, n, max_entry_for(n) if n < 3 else 10**6)
         path = tmp_path / f"plain-{n}.txt"
@@ -345,3 +372,17 @@ def test_plain_files_are_streamed_not_parsed(tmp_path, monkeypatch):
         for text in renderings(v)[1:]:
             path.write_bytes(text.encode())
             assert np.array_equal(read_instance(path).values, v.values)
+
+
+@pytest.mark.parametrize("text", ["2\n1 +2\n3 4\n", "2\r1 2\r3 4\r", "2\n1 2\n3 4\n\n"])
+def test_a_refused_file_is_read_by_the_block_reader_once(tmp_path, monkeypatch, text):
+    calls = []
+    read_plain = instance._read_plain
+
+    def counted(fh, size):
+        calls.append(size)
+        return read_plain(fh, size)
+
+    monkeypatch.setattr(instance, "_read_plain", counted)
+    assert read_outcome(tmp_path, text) == outcome(reference_parse, text)
+    assert len(calls) == 1
