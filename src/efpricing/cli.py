@@ -367,7 +367,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"invalid assignment: {exc}", file=sys.stderr)
         return 1
-    prices = PriceVector(p=np.array(record.prices, dtype=np.int64), revenue=record.revenue)
+    prices = PriceVector(record.prices)
     failures = 0
     if sum(record.prices) != record.revenue:
         print(

@@ -10,17 +10,19 @@ Index convention: rows are consumers, columns are items.  After an
 allocation is applied (:func:`reorder`), index i refers simultaneously to
 item i and to the consumer who won item i.
 
-Ownership: :class:`ValuationMatrix`, and :class:`ReorderedValuation`
-for its source matrix, wrap an int64, C-contiguous array that owns its
-data as it is, without a copy, and mark it read-only, so the caller's
-array can no longer be written.  Any other input (a list, a view, a
-non-contiguous or non-int64 array) is copied first.
+Ownership: every value type (the three here, and pricing's
+UtilityVector and PriceVector) takes an int64, C-contiguous array that
+owns its data as it is, without a copy, and marks it read-only, so the
+caller's array can no longer be written.  Any other input (a list, a
+view, a Fortran-order or non-int64 array) is copied, in C order.  A
+non-integer dtype, or a uint64 entry above the int64 range, is refused.
 
 No n x n integer array is derived from the matrix on the solve path.
 :func:`reorder` returns a :class:`ReorderedValuation`: one O(n) view
-that holds the source matrix, the item-to-consumer order and the
-winning valuations, and checks on construction that they fit together.
-It stands for both the reordered matrix and the utility-gap matrix, so
+that holds the source matrix and the item-to-consumer order, and
+derives the winning valuations from them.  An explicit gap array g,
+whose diagonal is zero, is the view (g, identity).  The view stands for
+both the reordered matrix and the utility-gap matrix, so
 :func:`build_gap_matrix` returns it unchanged, and it builds neither as
 an array: the solver reads the source rows in blocks instead
 (:func:`row_blocks`), so one solve holds the valuation matrix and O(n)
@@ -30,7 +32,7 @@ keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,27 +84,42 @@ def row_blocks(matrix: np.ndarray, dtype=np.int64):
         yield lo, rows, buffer[: rows.shape[0]]
 
 
-def _owned_int64(arr) -> bool:
-    """Whether a wrapper may keep arr itself instead of a copy."""
-    return (
-        type(arr) is np.ndarray
-        and arr.dtype == np.int64
-        and arr.flags.c_contiguous
-        and arr.flags.owndata
-    )
+def _int64_array(values, what: str, check=None) -> np.ndarray:
+    """values as a read-only, C-contiguous int64 array (see Ownership).
 
-
-def _int64_copy(values, what: str) -> np.ndarray:
-    """An int64 copy of values, refusing a non-integer dtype: ``astype``
-    would truncate 0.7 to 0 and read True as 1."""
+    ``astype`` would truncate 0.7 to 0, read True as 1 and wrap a uint64
+    above INT64_MAX, so those are refused.  check(arr) runs before the
+    array is frozen, so that an array it refuses stays writeable.
+    """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise TypeError(f"integer {what} required, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
+    if not (arr.dtype == np.int64 and arr.flags.c_contiguous and arr.flags.owndata):
+        if arr.dtype.kind == "u" and arr.size and arr.max() > INT64_MAX:
+            raise ValueError(f"{what} must lie in the int64 range {INT64_MIN}..{INT64_MAX}")
+        arr = arr.astype(np.int64, order="C")
+    if check is not None:
+        check(arr)
+    arr.flags.writeable = False
+    return arr
 
 
-def _as_int_matrix(values) -> np.ndarray:
-    return values if _owned_int64(values) else _int64_copy(values, "valuations")
+def _square(arr: np.ndarray) -> None:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"valuation matrix must be square, got shape {arr.shape}")
+
+
+def _permutation(values, what: str, n: int | None = None) -> np.ndarray:
+    """:func:`_int64_array` of a permutation of 0..n-1, n its length by default."""
+    def check(arr):
+        if arr.ndim != 1:
+            raise ValueError(f"{what} must be a flat index array")
+        if n is not None and arr.shape[0] != n:
+            raise ValueError(f"{what} length {arr.shape[0]} does not match matrix size {n}")
+        if not np.array_equal(np.sort(arr), np.arange(arr.shape[0])):
+            raise ValueError(f"{what} must be a permutation of 0..n-1")
+
+    return _int64_array(values, what, check)
 
 
 @dataclass(frozen=True)
@@ -118,9 +135,11 @@ class ValuationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_int_matrix(self.values)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"valuation matrix must be square, got shape {arr.shape}")
+        object.__setattr__(self, "values", _int64_array(self.values, "valuations", self._check))
+
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        _square(arr)
         n = arr.shape[0]
         if n < 1:
             raise ValueError("valuation matrix must have n >= 1")
@@ -130,8 +149,6 @@ class ValuationMatrix:
             raise ValueError(
                 f"valuation entries above {max_entry_for(n)} may overflow n-entry sums"
             )
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
@@ -151,29 +168,16 @@ class Allocation:
     weight: int
 
     def __post_init__(self):
-        arr = _int64_copy(self.assignment, "assignment")
-        if arr.ndim != 1:
-            raise ValueError("assignment must be a flat index array")
-        n = arr.shape[0]
-        if not np.array_equal(np.sort(arr), np.arange(n)):
-            raise ValueError("assignment must be a permutation of 0..n-1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "assignment", arr)
+        object.__setattr__(self, "assignment", _permutation(self.assignment, "assignment"))
         object.__setattr__(self, "weight", int(self.weight))
 
     @classmethod
     def from_assignment(cls, v: ValuationMatrix, assignment) -> "Allocation":
         """Build an allocation, recomputing its weight from the matrix."""
-        # Built before the matrix is indexed, so that an item index out of
-        # range is refused as not a permutation.
-        allocation = cls(assignment=assignment, weight=0)
-        if allocation.n != v.n:
-            raise ValueError(
-                f"assignment length {allocation.n} does not match matrix size {v.n}"
-            )
-        weight = int(v.values[np.arange(v.n), allocation.assignment].sum())
-        object.__setattr__(allocation, "weight", weight)
-        return allocation
+        # Checked before the matrix is indexed, so that an item index out
+        # of range is refused as not a permutation.
+        assignment = _permutation(assignment, "assignment", v.n)
+        return cls(assignment, int(v.values[np.arange(v.n), assignment].sum()))
 
     @property
     def n(self) -> int:
@@ -190,9 +194,9 @@ class Allocation:
 class ReorderedValuation:
     """Valuation matrix with rows permuted by an allocation, and its gaps.
 
-    Held as a view over three arrays: the source matrix, the
-    item-to-consumer order and the winning valuations, winning[k] =
-    source[order[k]][k].  Row i of the reordered matrix V' is
+    Built from two arrays, the source matrix and the item-to-consumer
+    order, it derives the winning valuations winning[k] =
+    source[order[k]][k] from them.  Row i of the reordered matrix V' is
     source[order[i]], the row of the consumer who won item i, so its
     diagonal holds the winning valuations and sums to the allocation
     weight.  The utility-gap matrix is gaps[j][k] = V'[j][k] -
@@ -200,7 +204,8 @@ class ReorderedValuation:
     over their own item if item k were priced at its winner's full
     valuation; its diagonal is identically zero.  Neither is held as an
     n x n array: the pricing methods read the source rows in blocks.  An
-    explicit gap array g is the view (g, identity, zeros).
+    explicit gap array g, whose diagonal is zero, is the view (g,
+    identity).
 
     When the allocation is welfare-optimal, every directed cycle over
     the gaps has nonpositive sum, which is what makes the pricing fixed
@@ -209,25 +214,14 @@ class ReorderedValuation:
 
     source: np.ndarray
     order: np.ndarray
-    winning: np.ndarray
+    winning: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        source = _as_int_matrix(self.source)
-        if source.ndim != 2 or source.shape[0] != source.shape[1]:
-            raise ValueError(f"gap matrix must be square, got shape {source.shape}")
+        source = _int64_array(self.source, "valuations", _square)
         n = source.shape[0]
-        order = _int64_copy(self.order, "order")
-        winning = _int64_copy(self.winning, "winning valuations")
-        if order.shape != (n,) or winning.shape != (n,):
-            raise ValueError(
-                f"order {order.shape} and winning {winning.shape} must have length {n}"
-            )
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("order must be a permutation of 0..n-1")
-        if not np.array_equal(source[order, np.arange(n)], winning):
-            raise ValueError("gap matrix diagonal must be zero")
+        order = _permutation(self.order, "order", n)
+        winning = _int64_array(source[order, np.arange(n)], "winning valuations")
         for name, arr in (("source", source), ("order", order), ("winning", winning)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
@@ -244,9 +238,7 @@ def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:
     """
     if a.n != v.n:
         raise ValueError(f"allocation size {a.n} does not match matrix size {v.n}")
-    order = a.item_to_consumer()
-    winning = v.values[order, np.arange(v.n)]
-    return ReorderedValuation(source=v.values, order=order, winning=winning)
+    return ReorderedValuation(v.values, a.item_to_consumer())
 
 
 def build_gap_matrix(vp: ReorderedValuation) -> ReorderedValuation:

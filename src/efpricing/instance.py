@@ -22,9 +22,10 @@ gathers the eight bytes that end there as one 64-bit word and folds the
 word's digits into their number in three multiply-shift steps; a token
 of more than eight digits adds the words before it.
 :func:`read_instance` streams a file through it, and :func:`parse`
-hands it an ASCII text.  What it refuses (a blank line, a sign, a
-ragged row, a token of more than 19 digits, an entry above the bound,
-any other character) is read once more, whole, by the per-token loop.
+hands it an ASCII text one encoded line at a time.  What it refuses (a
+blank line, a sign, a ragged row, a token of more than 19 digits, an
+entry above the bound, any other character) is read once more, whole,
+by the per-token loop.
 The loop is the only place that words a :class:`ParseError`, and it
 also accepts what ``int()`` accepts but the block reader does not
 (``1_000``, non-ASCII digits, a zero-padded token of 20 digits), so
@@ -45,7 +46,6 @@ record so that repeated solves of one instance are byte-identical.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from collections.abc import Iterator
@@ -190,11 +190,21 @@ def parse(text: str) -> ValuationMatrix:
     """Parse the instance text format, rejecting anything malformed."""
     # Only ASCII can be plain, and a lone surrogate cannot even be encoded.
     if text.isascii():
-        data = text.encode()
-        values = _read_plain(io.BytesIO(data), len(data))
+        values = _read_plain(_encoded_lines(text), len(text))
         if values is not None:
             return ValuationMatrix(values)
     return ValuationMatrix(_parse_tokens(text))
+
+
+def _encoded_lines(text: str) -> Iterator[bytes]:
+    """The lines of an ASCII text, each with its newline, encoded one at a
+    time as a binary file yields them, so that the text is never copied
+    whole."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end].encode()
+        start = end
 
 
 def _parse_tokens(text: str) -> np.ndarray:
@@ -251,21 +261,22 @@ def read_instance(path) -> ValuationMatrix:
     return ValuationMatrix(values)
 
 
-def _read_plain(fh, size: int):
+def _read_plain(lines: Iterator[bytes], size: int):
     """The matrix of a plain instance, or None where the token loop must decide.
 
-    fh is an open binary file of size bytes.  Plain means: a header,
-    then exactly n rows of n entries within the bound, each line of
-    digits, spaces and tabs, ended by a newline or a carriage return
-    and newline (the last line may end at the end of the file instead,
-    or in a lone carriage return), and nothing after them; no token has
-    more than 19 digits.  The rows are read in blocks of about
+    lines yields the instance's lines, each ending in its newline, as a
+    binary file of size bytes does.  Plain means: a header, then exactly
+    n rows of n entries within the bound, each line of digits, spaces
+    and tabs, ended by a newline or a carriage return and newline (the
+    last line may end at the end of the file instead, or in a lone
+    carriage return), and nothing after them; no token has more than 19
+    digits.  The rows are read in blocks of about
     ``_READ_BLOCK`` entries, each a word at a time by
     :func:`_read_plain_rows`.  The matrix is allocated only once the file
     is large enough to hold it, at two bytes or more per entry, so a
     wrong header cannot ask for more than four times the file's size.
     """
-    header = fh.readline()
+    header = next(lines, b"")
     if not _is_plain_line(header):
         return None
     try:
@@ -278,15 +289,15 @@ def _read_plain(fh, size: int):
     values = np.empty((n, n), dtype=np.int64)
     step = max(1, _READ_BLOCK // n)
     for start in range(0, n, step):
-        if not _read_plain_rows(fh, values[start : start + step], bound):
+        if not _read_plain_rows(lines, values[start : start + step], bound):
             return None
-    if fh.read(1):
+    if next(lines, b""):
         return None
     return values
 
 
-def _read_plain_rows(fh, out: np.ndarray, bound: int) -> bool:
-    """Fill out with the next rows of fh; False if they are not plain.
+def _read_plain_rows(lines: Iterator[bytes], out: np.ndarray, bound: int) -> bool:
+    """Fill out with the next rows of lines; False if they are not plain.
 
     The rows are joined behind ``_FRONT`` and read as one byte array.
     Every byte must be a digit, a space, a tab, a newline or a carriage
@@ -299,11 +310,11 @@ def _read_plain_rows(fh, out: np.ndarray, bound: int) -> bool:
     arrays are freed before the next block is read.
     """
     k, n = out.shape
-    lines = [fh.readline() for _ in range(k)]
+    rows = [next(lines, b"") for _ in range(k)]
     # The last byte of each row: its newline, unless the file ends there.
-    stops = np.fromiter(map(len, lines), np.intp, k).cumsum() + (len(_FRONT) - 1)
-    data = b"".join([_FRONT, *lines, b" "])
-    del lines
+    stops = np.fromiter(map(len, rows), np.intp, k).cumsum() + (len(_FRONT) - 1)
+    data = b"".join([_FRONT, *rows, b" "])
+    del rows
     a = np.frombuffer(data, dtype=np.uint8)
     digit = (a - 48) < 10
     plain = np.count_nonzero(digit) + np.count_nonzero(a == 32) + np.count_nonzero(a == 10)

@@ -13,7 +13,9 @@ Two independent methods compute the same integer price vector:
 
 Stability means y[j] >= y[k] + gaps[j][k] for all j != k: no item's
 winner could gain by taking another item at that item's price.  Prices
-are then p[j] = winning_valuation[j] - y[j].  This module holds only the
+are then p[j] = winning[j] - y[j], with the winning valuations that the
+view derives from its order; a :class:`PriceVector` holds the prices
+alone and sums them for its revenue.  This module holds only the
 pricing methods; the certificate that their utilities are the minimal
 stable vector, :func:`~efpricing.verify.minimality_certificate`, is the
 envy-freeness check of :mod:`efpricing.verify` run on those prices.
@@ -79,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT64_MAX, ReorderedValuation, row_blocks
+from .core import INT64_MAX, ReorderedValuation, _int64_array, row_blocks
 
 
 class NonOptimalAllocation(ValueError):
@@ -108,25 +110,27 @@ class UtilityVector:
     iterations_used: int
 
     def __post_init__(self):
-        arr = np.array(self.y, dtype=np.int64)
-        if arr.size and arr.min() < 0:
+        object.__setattr__(self, "y", _int64_array(self.y, "utilities", self._check))
+
+    @staticmethod
+    def _check(y: np.ndarray) -> None:
+        if y.size and y.min() < 0:
             raise ValueError("utilities must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "y", arr)
 
 
 @dataclass(frozen=True)
 class PriceVector:
-    """Envy-free item prices and the revenue they collect."""
+    """Envy-free item prices; revenue is their exact sum."""
 
     p: np.ndarray
-    revenue: int
 
     def __post_init__(self):
-        arr = np.array(self.p, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
-        object.__setattr__(self, "revenue", int(self.revenue))
+        object.__setattr__(self, "p", _int64_array(self.p, "prices"))
+
+    @property
+    def revenue(self) -> int:
+        # Summed in Python integers: an int64 sum of n prices may wrap.
+        return sum(self.p.tolist())
 
 
 def prices_efpm(
@@ -340,6 +344,4 @@ def _check_same_view(u: ReorderedValuation, vp) -> None:
 
 
 def _finish(u: ReorderedValuation, y, iterations: int):
-    prices = u.winning - y
-    utilities = UtilityVector(y=y, iterations_used=iterations)
-    return utilities, PriceVector(p=prices, revenue=int(prices.sum()))
+    return UtilityVector(y, iterations), PriceVector(u.winning - y)

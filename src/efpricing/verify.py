@@ -28,18 +28,21 @@ class EnvyReport:
 
     violations lists (consumer, preferred_item, utility_gain) for every
     strictly profitable switch; negative_utility_consumers lists consumers
-    who would rather buy nothing.  envy_free is true exactly when both
-    lists are empty.
+    who would rather buy nothing.  envy_free, derived from them, is true
+    exactly when both lists are empty.
 
     For envy-free prices, raisable lists the consumers whose prices can
     rise together; it is empty exactly when the revenue is the maximum
     for this allocation.  For other prices it is left empty.
     """
 
-    envy_free: bool
     violations: list[tuple[int, int, int]] = field(default_factory=list)
     negative_utility_consumers: list[int] = field(default_factory=list)
     raisable: list[int] = field(default_factory=list)
+
+    @property
+    def envy_free(self) -> bool:
+        return not (self.violations or self.negative_utility_consumers)
 
 
 def check_envy_free(v: ValuationMatrix, a: Allocation, p: PriceVector) -> EnvyReport:
@@ -111,7 +114,7 @@ def _certify(values: np.ndarray, assignment: np.ndarray, prices: np.ndarray) -> 
         np.equal(gains, 0, out=tight[lo:hi])
     negative = np.flatnonzero(own < 0).tolist()
     if violations or negative:
-        return EnvyReport(False, violations, negative)
+        return EnvyReport(violations, negative)
     # A reverse breadth-first search, one level at a time: the consumers
     # with a tight arc to an item of the frontier join it.  Each item
     # enters the frontier once, so the search reads each column of tight
@@ -126,4 +129,4 @@ def _certify(values: np.ndarray, assignment: np.ndarray, prices: np.ndarray) -> 
         newly = (held & unreached).nonzero()[0]
         unreached[newly] = False
         frontier = assignment[newly]
-    return EnvyReport(True, raisable=unreached.nonzero()[0].tolist())
+    return EnvyReport(raisable=unreached.nonzero()[0].tolist())

@@ -13,11 +13,8 @@ def random_matrix(rng, n, hi):
 
 
 def explicit_gaps(rows):
-    """A gap matrix given entry by entry: the view (rows, identity, zeros)."""
-    n = len(rows)
-    return ReorderedValuation(
-        source=rows, order=np.arange(n), winning=np.zeros(n, dtype=np.int64)
-    )
+    """A gap matrix given entry by entry, its diagonal zero: the view (rows, identity)."""
+    return ReorderedValuation(source=rows, order=np.arange(len(rows)))
 
 
 def reordered_values(u):

@@ -3,7 +3,9 @@ import pytest
 
 from efpricing import (
     Allocation,
+    PriceVector,
     ReorderedValuation,
+    UtilityVector,
     ValuationMatrix,
     build_gap_matrix,
     reorder,
@@ -160,31 +162,47 @@ class TestGapMatrixView:
 
     def test_explicit_gaps_are_the_identity_view(self):
         gaps = [[0, 2], [-4, 0]]
-        u = ReorderedValuation(source=gaps, order=[0, 1], winning=[0, 0])
+        u = ReorderedValuation(source=gaps, order=[0, 1])
         assert gap_array(u).tolist() == gaps
-
-    def test_rejects_a_nonzero_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            ReorderedValuation(source=[[1, 2], [3, 4]], order=[0, 1], winning=[1, 3])
 
     def test_rejects_an_order_that_is_no_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
-            ReorderedValuation(source=[[0, 2], [3, 0]], order=[0, 0], winning=[0, 2])
+            ReorderedValuation(source=[[0, 2], [3, 0]], order=[0, 0])
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="length"):
-            ReorderedValuation(source=[[0, 2], [3, 0]], order=[0, 1, 2], winning=[0, 0])
+            ReorderedValuation(source=[[0, 2], [3, 0]], order=[0, 1, 2])
         with pytest.raises(ValueError, match="square"):
-            ReorderedValuation(source=[[0, 2, 1], [3, 0, 1]], order=[0, 1], winning=[0, 0])
+            ReorderedValuation(source=[[0, 2, 1], [3, 0, 1]], order=[0, 1])
 
 
 @pytest.mark.parametrize("build", [
     lambda v: Allocation.from_assignment(v, [0.7, 1.2]),
     lambda v: Allocation.from_assignment(v, [True, False]),
     lambda v: Allocation(assignment=np.array([1.0, 0.0]), weight=0),
-    lambda v: ReorderedValuation(source=v.values, order=[0.0, 1.0], winning=[3, 2]),
-    lambda v: ReorderedValuation(source=v.values, order=[0, 1], winning=[3.0, 2.0]),
-], ids=["float assignment", "bool assignment", "float array", "float order", "float winning"])
+    lambda v: ReorderedValuation(source=v.values, order=[0.0, 1.0]),
+    lambda v: UtilityVector(y=[1.5, 0.0], iterations_used=0),
+    lambda v: PriceVector(p=[2.9, 0.5]),
+], ids=["float assignment", "bool assignment", "float array", "float order", "float utilities",
+        "float prices"])
 def test_index_arrays_refuse_non_integer_dtypes(build):
     with pytest.raises(TypeError, match="integer"):
+        build(ValuationMatrix([[3, 1], [1, 2]]))
+
+
+# astype would wrap 2**63 around to -2**63.
+BIG = np.array([2**63, 0], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: ValuationMatrix(BIG[:1].reshape(1, 1)),
+    lambda v: Allocation(assignment=BIG, weight=0),
+    lambda v: Allocation.from_assignment(v, BIG),
+    lambda v: ReorderedValuation(source=BIG[[0, 1, 1, 1]].reshape(2, 2), order=[0, 1]),
+    lambda v: ReorderedValuation(source=v.values, order=BIG),
+    lambda v: UtilityVector(y=BIG, iterations_used=0),
+    lambda v: PriceVector(p=BIG),
+], ids=["valuations", "assignment", "from_assignment", "source", "order", "utilities", "prices"])
+def test_uint64_entries_above_the_int64_range_are_refused(build):
+    with pytest.raises(ValueError, match="int64 range"):
         build(ValuationMatrix([[3, 1], [1, 2]]))

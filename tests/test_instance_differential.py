@@ -379,9 +379,9 @@ def test_a_refused_file_is_read_by_the_block_reader_once(tmp_path, monkeypatch, 
     calls = []
     read_plain = instance._read_plain
 
-    def counted(fh, size):
+    def counted(lines, size):
         calls.append(size)
-        return read_plain(fh, size)
+        return read_plain(lines, size)
 
     monkeypatch.setattr(instance, "_read_plain", counted)
     assert read_outcome(tmp_path, text) == outcome(reference_parse, text)

@@ -19,20 +19,24 @@ import pytest
 
 from efpricing import (
     Allocation,
+    PriceVector,
+    UtilityVector,
     ValuationMatrix,
     build_gap_matrix,
     check_envy_free,
     generate,
+    parse,
     prices_efpm,
     read_instance,
     reorder,
+    serialize,
     solve_assignment,
     write_instance,
 )
 from efpricing import instance
 from efpricing.cli import main, solve_and_price
 
-from helpers import explicit_gaps
+from helpers import chain, explicit_gaps
 
 N = 300
 MATRIX_BYTES = N * N * 8
@@ -88,6 +92,13 @@ def test_read_instance_holds_about_one_matrix(instance_file):
     assert peak <= 1.5 * MATRIX_BYTES
 
 
+def test_parse_holds_one_line_of_the_text_besides_the_matrix():
+    # The text is encoded a line at a time, not copied whole first.
+    n = 1000
+    text = serialize(generate(n, 11))
+    assert traced_peak(parse, text) <= 1.25 * n * n * 8
+
+
 def test_reorder_builds_no_matrix():
     v = generate(N, 5)
     a = Allocation.from_assignment(v, np.random.default_rng(5).permutation(N))
@@ -122,12 +133,14 @@ def test_write_instance_holds_a_block_not_a_matrix(n, tmp_path):
     assert peak <= 40 * instance._BLOCK
 
 
-@pytest.mark.parametrize("wrap, field", [
-    (ValuationMatrix, "values"),
-    (explicit_gaps, "source"),
-])
-def test_an_owned_int64_array_is_taken_not_copied(wrap, field):
-    arr = np.zeros((4, 4), dtype=np.int64)
+@pytest.mark.parametrize("wrap, field, arr", [
+    (ValuationMatrix, "values", np.zeros((4, 4), dtype=np.int64)),
+    (explicit_gaps, "source", np.zeros((4, 4), dtype=np.int64)),
+    (lambda a: Allocation(a, 0), "assignment", np.arange(4, dtype=np.int64)),
+    (lambda y: UtilityVector(y, 0), "y", np.arange(4, dtype=np.int64)),
+    (PriceVector, "p", np.arange(4, dtype=np.int64)),
+], ids=["ValuationMatrix", "ReorderedValuation", "Allocation", "UtilityVector", "PriceVector"])
+def test_an_owned_int64_array_is_taken_not_copied(wrap, field, arr):
     wrapped = getattr(wrap(arr), field)
     assert np.shares_memory(wrapped, arr)
     assert not arr.flags.writeable
@@ -152,7 +165,25 @@ def test_other_input_is_copied(wrap, field, make):
     wrapped = getattr(wrap(arr), field)
     assert not np.shares_memory(wrapped, arr)
     assert wrapped.dtype == np.int64 and not wrapped.flags.writeable
+    assert wrapped.flags.c_contiguous
     assert arr.flags.writeable
+
+
+def test_a_relabelled_chain_is_held_and_solved_in_c_order():
+    # Indexing the columns of a matrix gives a Fortran-order array.
+    n = 60
+    rng = np.random.default_rng(4)
+    values = chain(n, 4, rng.permutation(n), rng.permutation(n))
+    assert not values.flags.c_contiguous
+    v = ValuationMatrix(values)
+    assert v.values.flags.c_contiguous
+    assert reorder(v, solve_assignment(v).allocation).source.flags.c_contiguous
+    methods = ["efpm", "bellman-ford"]
+    solved = solve_and_price(v, methods)
+    expected = solve_and_price(ValuationMatrix(np.ascontiguousarray(values)), methods)
+    assert np.array_equal(solved.allocation.assignment, expected.allocation.assignment)
+    for method in methods:
+        assert np.array_equal(solved.priced[method][1].p, expected.priced[method][1].p)
 
 
 def test_a_refused_array_stays_writeable():

@@ -4,6 +4,7 @@ import pytest
 from efpricing import (
     Allocation,
     NonOptimalAllocation,
+    PriceVector,
     ReorderedValuation,
     UtilityVector,
     ValuationMatrix,
@@ -15,6 +16,7 @@ from efpricing import (
     reorder,
 )
 from efpricing.cli import solve_and_price
+from efpricing.core import INT64_MAX
 
 from helpers import explicit_gaps, random_matrix, reference_efpm, reordered_values
 
@@ -149,6 +151,11 @@ class TestConvergedProperties:
             assert minimality_certificate(gaps, utilities)
 
 
+def test_revenue_is_the_exact_sum_of_the_prices():
+    # An int64 sum of these prices wraps around to -2.
+    assert PriceVector([INT64_MAX, INT64_MAX]).revenue == 2 * INT64_MAX
+
+
 class TestMinimalityCertificate:
     def test_certifies_converged_vector(self):
         gaps = explicit_gaps([[0, 2], [-4, 0]])
@@ -223,7 +230,7 @@ def test_pricing_refuses_a_second_view_that_is_not_the_first(pricing_fn):
     vp2 = solve_and_price(generate(5, 2), []).view
     with pytest.raises(ValueError, match="does not match"):
         pricing_fn(build_gap_matrix(vp1), vp2)
-    twin = ReorderedValuation(vp1.source, vp1.order, vp1.winning)
+    twin = ReorderedValuation(vp1.source, vp1.order)
     with pytest.raises(ValueError, match="does not match"):
         pricing_fn(vp1, twin)
 

@@ -27,7 +27,7 @@ def efpm(v):
 
 
 def price_vector(values):
-    return PriceVector(p=np.array(values, dtype=np.int64), revenue=int(sum(values)))
+    return PriceVector(np.array(values, dtype=np.int64))
 
 
 class TestCheckEnvyFree:
