@@ -16,6 +16,8 @@ owns its data as it is, without a copy, and marks it read-only, so the
 caller's array can no longer be written.  Any other input (a list, a
 view, a Fortran-order or non-int64 array) is copied, in C order.  A
 non-integer dtype, or a uint64 entry above the int64 range, is refused.
+The value types compare and hash by identity: an array field has no
+single truth value, so a generated field-wise ``==`` would raise.
 
 No n x n integer array is derived from the matrix on the solve path.
 :func:`reorder` returns a :class:`ReorderedValuation`: one O(n) view
@@ -122,7 +124,7 @@ def _permutation(values, what: str, n: int | None = None) -> np.ndarray:
     return _int64_array(values, what, check)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValuationMatrix:
     """Square matrix of consumer valuations, values[i][j] = value that
     consumer i assigns to item j.
@@ -155,7 +157,7 @@ class ValuationMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
     """A perfect matching of items to consumers.
 
@@ -190,7 +192,7 @@ class Allocation:
         return inv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReorderedValuation:
     """Valuation matrix with rows permuted by an allocation, and its gaps.
 

@@ -38,13 +38,17 @@ consumer who won some item j, and the tail k of an arc (j, k) is read
 as the utility of item k's winner, so the rows are never gathered into
 item order.
 
-efpm prunes its sweeps exactly.  It keeps a bound theta >= max(y) and
-the utilities y_r of the moment it last chose its arcs, and sweeps only
-the arcs (j, k) with gaps[j][k] > y_r[j] - theta.  While max(y) <= theta,
-a dropped arc gives y[k] + gaps[j][k] <= theta + y_r[j] - theta <= y[j],
-because utilities only rise, so it can never raise y[j].  The diagonal
-term of a sweep is y[j] itself, so no diagonal arc is stored.  Every
-sweep therefore returns the vector the dense sweep would.
+efpm prunes its sweeps exactly.  Each time it chooses its arcs, for
+the utilities y_r of that moment and a threshold theta > max(y_r), it
+keeps the arcs (j, k) whose slack y_r[j] - gaps[j][k] is below theta,
+and the same pass returns the slack bound B, the least slack of the
+dropped arcs (INT64_MAX when none is dropped).  The proof obligation is
+that B >= theta, and that no dropped arc can raise y[j] while max(y) <=
+B.  The first holds because a dropped arc's slack is at least theta.
+For the second, utilities only rise, so while max(y) <= B a dropped arc
+gives y[k] + gaps[j][k] <= B + gaps[j][k] <= y_r[j] <= y[j].  The
+diagonal term of a sweep is y[j] itself, so no diagonal arc is stored.
+Every sweep therefore returns the vector the dense sweep would.
 
 The kept arcs are laid out in two levels, as the hybrid (ELL + COO)
 format of sparse matrix-vector products splits short rows from long
@@ -56,18 +60,13 @@ the list, only for the rows that keep more than one arc.  On a chain,
 where each row keeps at most the arc to its successor, the list is
 empty and a sweep costs a few O(n) steps.
 
-The first time max(y) passes theta, one blocked pass finds the slack
-bound B = min over dropped arcs (j, k) of y_r[j] - gaps[j][k].  B >= theta,
-and while max(y) <= B a dropped arc gives y[k] + gaps[j][k] <= B +
-gaps[j][k] <= y_r[j] <= y[j] by the same argument, so the same arcs stay
-exact.  Only when max(y) passes B as well does theta become 2 * max(y)
-and the arcs get chosen again, with one blocked pass over the rows; so
-there are O(log max y) such rebuilds.  The bound is computed only when
-it is needed: a choice whose theta is never passed pays nothing for it.
-With gap entries in -M..M, M = ``max_entry_for(n)``, and utilities in
-0..(n - 1) * M, every y_r[j] - gaps[j][k] lies in -M..n * M, within
-int64.  In the worst case every arc stays kept, and a sweep costs O(n^2)
-as the dense one does, with a larger constant; the O(n^3) bound stands.
+Only when max(y) passes B are the arcs chosen again, with theta = 2 *
+max(y) and one blocked pass over the rows; B >= theta, so theta at
+least doubles each time, and there are O(log max y) such choices.  With
+gap entries in -M..M, M = ``max_entry_for(n)``, and utilities in
+0..(n - 1) * M, every slack lies in -M..n * M, within int64.  In the
+worst case every arc stays kept, and a sweep costs O(n^2) as the dense
+one does, with a larger constant; the O(n^3) bound stands.
 
 Both methods require the allocation behind the gap matrix to be
 welfare-optimal.  On other inputs the gap matrix contains a positive
@@ -97,7 +96,7 @@ class NonOptimalAllocation(ValueError):
         self.sweeps = sweeps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilityVector:
     """Converged buyer utilities plus the sweep count that produced them.
 
@@ -118,7 +117,7 @@ class UtilityVector:
             raise ValueError("utilities must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceVector:
     """Envy-free item prices; revenue is their exact sum."""
 
@@ -147,21 +146,21 @@ def prices_efpm(
     gaps[j][k]): a gather over each row's first kept arc off the
     diagonal, and a segmented maximum over the other kept arcs of the
     rows that have any (see :func:`_choose_arcs`).  Invariant: an arc
-    (j, k) is kept when gaps[j][k] > y_r[j] - theta, where y_r is y when
-    the arcs were last chosen and theta > max(y_r); no dropped arc can
-    raise y[j] while max(y) <= theta (see the module docstring), so
-    every iterate equals the dense sweep's.  When max(y) passes theta,
-    the slack bound B >= theta of the current arcs is computed once;
-    when max(y) passes B too, theta becomes 2 * max(y), capped at
-    INT64_MAX, and the arcs are chosen again.  Worst case: nearly every
-    arc stays kept, and a sweep costs O(n^2) as a dense one does, but
-    about 1.5 to 2 times as long.
+    (j, k) is kept when its slack y_r[j] - gaps[j][k] is below theta,
+    where y_r is y when the arcs were last chosen and theta > max(y_r),
+    and the same choice returns the slack bound B >= theta of the
+    dropped arcs; no dropped arc can raise y[j] while max(y) <= B (see
+    the module docstring), so every iterate equals the dense sweep's.
+    When max(y) passes B, the arcs are chosen again with theta = 2 *
+    max(y), capped at INT64_MAX.  Worst case: nearly every arc stays
+    kept, and a sweep costs O(n^2) as a dense one does, but about 1.5
+    to 2 times as long.
 
     With gap entries of at most M = max_entry_for(n) in magnitude, each
     sweep raises max(y) by at most M, so max(y) <= (n - 1) * M < INT64_MAX
     before every sweep that runs, even when the allocation is not
-    optimal: the capped theta still exceeds max(y), and y - theta does
-    not wrap.
+    optimal: the capped theta still exceeds max(y), and no slack
+    y_r[j] - gaps[j][k] wraps.
     """
     _check_same_view(u, vp)
     n = u.n
@@ -172,9 +171,7 @@ def prices_efpm(
     # y[i] is the utility of the consumer of source row i; the arc tails
     # are those consumers' rows, so y is put in item order only at the end.
     y = np.empty(n, dtype=np.int64)
-    theta = 2 * top
-    arcs = _choose_arcs(u, y, theta, fill=True)
-    y_r, limit, bounded = y, theta, False
+    arcs, bound = _choose_arcs(u, y, 2 * top, fill=True)
     iterations = 0
     changed = True
     while changed:
@@ -185,12 +182,8 @@ def prices_efpm(
                 sweeps=iterations + 1,
             )
         top = int(y.max())
-        if top > limit and not bounded:
-            limit, bounded = _slack_bound(u, y_r, theta), True
-        if top > limit:
-            theta = min(2 * top, INT64_MAX)
-            arcs = _choose_arcs(u, y, theta)
-            y_r, limit, bounded = y, theta, False
+        if top > bound:
+            arcs, bound = _choose_arcs(u, y, min(2 * top, INT64_MAX))
         first_tails, first_weights, weights, tails, segments, rows = arcs
         # The first level, then the diagonal: y itself.
         y_next = y[first_tails]
@@ -208,9 +201,11 @@ def prices_efpm(
 
 
 def _choose_arcs(u: ReorderedValuation, y, theta: int, fill: bool = False):
-    """The arcs efpm keeps for y_r = y and theta, in two levels.
+    """The arcs efpm keeps for y_r = y and theta, and their slack bound.
 
-    Returns (first_tails, first_weights, weights, tails, segments, rows).
+    Returns ((first_tails, first_weights, weights, tails, segments,
+    rows), bound): the kept arcs in two levels, and the least slack
+    y_r[j] - gaps[j][k] of the dropped arcs, INT64_MAX if none is.
     The first level is one arc per row: first_tails[i] is the source row
     of the tail and first_weights[i] the gap of row i's first kept arc
     off the diagonal, or (i, 0), its diagonal, when it keeps none.  The
@@ -222,7 +217,8 @@ def _choose_arcs(u: ReorderedValuation, y, theta: int, fill: bool = False):
     flat indices; their gaps are read again once its buffer is freed.
     """
     n = u.n
-    arcs = np.concatenate(_kept_arcs(u, y, theta, fill))
+    arcs, bound = _kept_arcs(u, y, theta, fill)
+    arcs = np.concatenate(arcs)
     bounds = np.searchsorted(arcs, np.arange(0, n * n + 1, n))
     starts = bounds[:-1]
     counts = bounds[1:] - starts
@@ -244,24 +240,32 @@ def _choose_arcs(u: ReorderedValuation, y, theta: int, fill: bool = False):
     segments = np.searchsorted(arcs, rows * n)
     first_weights, first_tails = _read_arcs(u, first)
     weights, tails = _read_arcs(u, arcs)
-    return first_tails, first_weights, weights, tails, segments, rows
+    return (first_tails, first_weights, weights, tails, segments, rows), bound
 
 
-def _kept_arcs(u: ReorderedValuation, y, theta: int, fill: bool) -> list:
-    """The flat indices of the kept arcs, one array per block of rows.
+def _kept_arcs(u: ReorderedValuation, y, theta: int, fill: bool):
+    """The flat indices of the kept arcs, one array per block, and B.
 
-    A function of its own, so that the block buffer is freed before the
-    arcs are joined.
+    Each block's slack y_r[j] - gaps[j][k] is formed in the block
+    buffer; an arc is kept where it is below theta.  The kept entries
+    are then set to INT64_MAX, so the block's least slack is the least
+    over its dropped arcs.  A function of its own, so that the block
+    buffer is freed before the arcs are joined.
     """
     arcs = []
-    for lo, gaps in _gap_rows(u):
-        y_r = y[lo : lo + len(gaps)]
+    bound = INT64_MAX
+    for lo, rows, out in row_blocks(u.source):
+        y_r = y[lo : lo + len(rows)]
+        slack = np.subtract(rows, u.winning, out=out)
         if fill:
-            gaps.max(axis=1, out=y_r)
-        kept = np.flatnonzero(gaps > (y_r - theta)[:, np.newaxis])
+            slack.max(axis=1, out=y_r)
+        np.subtract(y_r[:, np.newaxis], slack, out=slack)
+        kept = np.flatnonzero(slack < theta)
+        np.put(slack, kept, INT64_MAX)
+        bound = min(bound, int(slack.min()))
         kept += lo * u.n
         arcs.append(kept)
-    return arcs
+    return arcs, bound
 
 
 def _read_arcs(u: ReorderedValuation, arcs):
@@ -270,25 +274,6 @@ def _read_arcs(u: ReorderedValuation, arcs):
     cols = np.remainder(arcs, u.n, out=arcs)
     weights -= u.winning[cols]
     return weights, u.order[cols]
-
-
-def _slack_bound(u: ReorderedValuation, y_r, theta: int) -> int:
-    """The slack bound B of the arcs chosen for y_r and theta.
-
-    B is the least y_r[j] - gaps[j][k] over the dropped arcs, those with
-    y_r[j] - gaps[j][k] >= theta; INT64_MAX when every arc is kept.
-    """
-    bound = INT64_MAX
-    for lo, gaps in _gap_rows(u):
-        slack = np.subtract(y_r[lo : lo + len(gaps), np.newaxis], gaps, out=gaps)
-        bound = min(bound, int(slack.min(where=slack >= theta, initial=INT64_MAX)))
-    return bound
-
-
-def _gap_rows(u: ReorderedValuation):
-    """(first row, gap rows) per block of source rows, in one reused buffer."""
-    for lo, rows, out in row_blocks(u.source):
-        yield lo, np.subtract(rows, u.winning, out=out)
 
 
 def prices_bellman_ford(

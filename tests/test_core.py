@@ -206,3 +206,17 @@ BIG = np.array([2**63, 0], dtype=np.uint64)
 def test_uint64_entries_above_the_int64_range_are_refused(build):
     with pytest.raises(ValueError, match="int64 range"):
         build(ValuationMatrix([[3, 1], [1, 2]]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ValuationMatrix([[3, 1], [1, 2]]),
+    lambda: Allocation(assignment=[0, 1], weight=5),
+    lambda: ReorderedValuation(source=[[3, 1], [1, 2]], order=[1, 0]),
+    lambda: UtilityVector(y=[2, 0], iterations_used=1),
+    lambda: PriceVector(p=[3, 2]),
+], ids=["valuations", "allocation", "reordered", "utilities", "prices"])
+def test_value_types_compare_and_hash_by_identity(build):
+    x, twin = build(), build()
+    assert x == x
+    assert x != twin
+    assert hash(x) == hash(x)

@@ -28,13 +28,14 @@ from efpricing import (
     UtilityVector,
     ValuationMatrix,
     build_gap_matrix,
+    generate,
     minimality_certificate,
     prices_bellman_ford,
     prices_efpm,
     reorder,
     solve_assignment,
 )
-from efpricing.core import max_entry_for
+from efpricing.core import INT64_MAX, max_entry_for
 
 from efpricing import pricing
 
@@ -343,7 +344,7 @@ def test_chains_fit_the_first_level(n, monkeypatch):
     utilities, _ = prices_efpm(*priced(chain(n, n, range(n), range(n))))
     assert utilities.iterations_used == n - 1
     assert len(layouts) == 1
-    first_tails, first_weights, weights, tails, segments, rows = layouts[0]
+    (first_tails, first_weights, weights, tails, segments, rows), _ = layouts[0]
     assert first_tails.tolist() == list(range(1, n)) + [n - 1]
     assert first_weights.tolist() == [1] * (n - 1) + [0]
     assert len(weights) == len(tails) == len(segments) == len(rows) == 0
@@ -373,3 +374,100 @@ def test_the_slack_bound_spares_chains_every_rebuild(n, monkeypatch):
     utilities, _ = prices_efpm(*priced(chain(n, n, range(n), range(n))))
     assert utilities.iterations_used == n - 1
     assert choices == [2]
+
+
+@pytest.mark.parametrize("values", [
+    chain(400, 400, range(400), range(400)),
+    generate(400, 11).values,
+], ids=["chain", "random"])
+def test_each_arc_choice_is_one_blocked_pass(values, monkeypatch):
+    # The slack bound comes out of the pass that chooses the arcs, so a
+    # chain, whose bound is needed, reads its rows once, as random
+    # entries do.
+    passes = []
+    blocks = pricing.row_blocks
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "row_blocks", counted)
+    prices_efpm(*priced(values))
+    assert len(passes) == 1
+
+
+def recorded_choices(gaps, vp):
+    """(y, theta, fill, arcs, bound) of each arc choice of one prices_efpm."""
+    calls = []
+    choose = pricing._choose_arcs
+
+    def recorded(u, y, theta, fill=False):
+        arcs, bound = choose(u, y, theta, fill)
+        calls.append((y.copy(), theta, fill, arcs, bound))
+        return arcs, bound
+
+    pricing._choose_arcs = recorded
+    try:
+        prices_efpm(gaps, vp)
+    finally:
+        pricing._choose_arcs = choose
+    return calls
+
+
+def kept_triples(u, arcs):
+    """The kept arcs of a layout as (j, k, gaps[j][k]) in item order."""
+    first_tails, first_weights, weights, tails, segments, rows = arcs
+    item = np.argsort(u.order)
+    triples = set()
+    for i, (tail, weight) in enumerate(zip(first_tails.tolist(), first_weights.tolist())):
+        if tail == i:
+            assert weight == 0 and i not in rows
+        else:
+            triples.add((int(item[i]), int(item[tail]), weight))
+    ends = np.append(segments[1:], len(tails))
+    for row, lo, hi in zip(rows.tolist(), segments.tolist(), ends.tolist()):
+        assert hi - lo >= 1 and first_tails[row] != row
+        for tail, weight in zip(tails[lo:hi].tolist(), weights[lo:hi].tolist()):
+            triples.add((int(item[row]), int(item[tail]), weight))
+    return triples
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_fused_bound_matches_the_dense_slack(data):
+    # Each arc choice of a real efpm run, the first and every rebuild,
+    # is replayed with blocks of 1..n rows.  Kept are the arcs with
+    # slack y_r[j] - gaps[j][k] below theta; the bound is the least
+    # slack of the others.
+    family = data.draw(st.sampled_from(["random", "ties", "chain", "staircase"]))
+    if family == "staircase":
+        n = data.draw(st.sampled_from([2, 3, 10, 33]))
+        gaps, vp = priced(staircase(n), list(range(n)))
+    elif family == "chain":
+        n = data.draw(st.integers(2, 40))
+        step = data.draw(st.sampled_from([1, 7, 1000]))
+        drop = 0
+        if n >= 5:
+            drop = data.draw(st.integers(0, (n - 1) * step - 1))
+        gaps, vp = priced(chain(n, data.draw(st.integers(0, 2**32 - 1)),
+                                data.draw(st.permutations(range(n))),
+                                data.draw(st.permutations(range(n))), step, drop))
+    else:
+        n = data.draw(st.integers(1, 14))
+        hi = 3 if family == "ties" else 10**6
+        gaps, vp = priced(square(data.draw, st.integers(0, hi), n))
+    rows = data.draw(st.integers(1, n), label="rows per block")
+    g = gap_array(gaps)
+    for y_r, theta, fill, arcs, bound in recorded_choices(gaps, vp):
+        y = np.empty(n, dtype=np.int64) if fill else y_r.copy()
+        with blocks_of(rows * n):
+            arcs, got = pricing._choose_arcs(gaps, y, theta, fill)
+        assert np.array_equal(y, y_r)
+        slack = y_r[gaps.order][:, np.newaxis] - g
+        dropped = slack[slack >= theta]
+        assert got == bound == (int(dropped.min()) if dropped.size else INT64_MAX)
+        assert got >= theta
+        kept = slack < theta
+        np.fill_diagonal(kept, False)
+        assert kept_triples(gaps, arcs) == {
+            (j, k, int(g[j, k])) for j, k in zip(*np.nonzero(kept))}
