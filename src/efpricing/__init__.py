@@ -6,9 +6,10 @@ the utility-gap matrix, and raise buyer utilities to their minimal stable
 fixed point; prices are the winning valuations minus those utilities.
 :func:`efpricing.cli.solve_and_price` runs it for the CLI's commands.
 
-The exhaustive oracles the tests check against live in
-:mod:`efpricing.oracles`, outside this API; the revenue oracle is still
-reachable as ``efpricing.brute_force_max_revenue``.
+The exhaustive oracles the tests check against are not part of this
+API.  The matching oracle lives with the tests; the revenue oracle lives
+in :mod:`efpricing.oracles`, because the benchmark's checks reach it as
+``efpricing.brute_force_max_revenue``.
 """
 
 from .core import (
@@ -76,8 +77,8 @@ _ORACLES = {"brute_force_max_revenue"}
 
 def __getattr__(name):
     # The benchmark's own checks, written before the oracles moved, still
-    # reach the revenue oracle as an attribute of the package; the
-    # oracles are loaded only when it is asked for.
+    # reach the revenue oracle as an attribute of the package; its
+    # module is loaded only when it is asked for.
     if name in _ORACLES:
         from . import oracles
 

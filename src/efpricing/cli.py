@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -29,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Allocation, ReorderedValuation, ValuationMatrix, build_gap_matrix, reorder
+from .core import Allocation, ValuationMatrix, build_gap_matrix, reorder
 from .instance import (
     ParseError,
     SolutionRecord,
@@ -66,7 +65,6 @@ class Solved:
     """
 
     allocation: Allocation
-    view: ReorderedValuation
     matching_seconds: float
     priced: dict[str, tuple[UtilityVector, PriceVector, float]]
 
@@ -83,7 +81,7 @@ def solve_and_price(v: ValuationMatrix, methods) -> Solved:
         t0 = time.perf_counter()
         utilities, prices = PRICING_METHODS[method](gaps, vp)
         priced[method] = (utilities, prices, time.perf_counter() - t0)
-    return Solved(allocation, vp, matching_seconds, priced)
+    return Solved(allocation, matching_seconds, priced)
 
 
 @dataclass(frozen=True)
@@ -122,14 +120,14 @@ def run_bench(
     seed: int,
     methods: list[str],
     warmup: int = 0,
-    progress=None,
 ) -> BenchReport:
     """Paired benchmark over freshly generated instances.
 
     Trial t of every size uses seed + t, so both methods always see the
     same inputs.  With warmup > 0, the first instance of each size is
     solved that many extra times, untimed, before any timing starts.
-    A method named twice is benchmarked once.
+    A method named twice is benchmarked once.  Each size reports on
+    stderr when its trials are done.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a confidence interval, got {trials}")
@@ -158,8 +156,7 @@ def run_bench(
                     )
                 )
             _check_agreement(solved.priced, n, trial)
-        if progress is not None:
-            progress(f"benchmarked n={n} ({trials} trials)")
+        print(f"benchmarked n={n} ({trials} trials)", file=sys.stderr)
     return _summarize(rows, methods)
 
 
@@ -261,14 +258,14 @@ def render_table(report: BenchReport) -> str:
 
 
 def render_csv(report: BenchReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    # Every field is a number or a method name, so none needs quoting.
+    lines = [",".join(CSV_HEADER)]
     for r in report.trials:
-        writer.writerow(
-            [r.n, r.method, r.trial, f"{r.pricing_seconds:.9f}", f"{r.matching_seconds:.9f}", r.iterations]
+        lines.append(
+            f"{r.n},{r.method},{r.trial},{r.pricing_seconds:.9f},{r.matching_seconds:.9f},"
+            f"{r.iterations}"
         )
-    return out.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def render_json(report: BenchReport) -> str:
@@ -363,7 +360,7 @@ def _cmd_verify(args) -> int:
         print(f"size mismatch: instance n={v.n}, solution n={record.n}", file=sys.stderr)
         return 2
     try:
-        allocation = Allocation.from_assignment(v, record.assignment)
+        allocation = Allocation(record.assignment)
     except ValueError as exc:
         print(f"invalid assignment: {exc}", file=sys.stderr)
         return 1
@@ -401,14 +398,7 @@ def _cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
     methods = args.method or sorted(PRICING_METHODS)
     with _report_file(args.out) as out:
-        report = run_bench(
-            sizes,
-            args.trials,
-            args.seed,
-            methods,
-            warmup=args.warmup,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        )
+        report = run_bench(sizes, args.trials, args.seed, methods, warmup=args.warmup)
         sys.stdout.write(render_table(report))
         if out is not None:
             renderer = {"text": render_table, "csv": render_csv, "json": render_json}[args.format]

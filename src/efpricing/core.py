@@ -16,8 +16,11 @@ owns its data as it is, without a copy, and marks it read-only, so the
 caller's array can no longer be written.  Any other input (a list, a
 view, a Fortran-order or non-int64 array) is copied, in C order.  A
 non-integer dtype, or a uint64 entry above the int64 range, is refused.
-The value types compare and hash by identity: an array field has no
-single truth value, so a generated field-wise ``==`` would raise.
+No value type takes as an input a field that can be derived from its
+others: an :class:`Allocation` is its permutation alone, and a view
+derives its winning valuations.  The value types compare and hash by
+identity: an array field has no single truth value, so a generated
+field-wise ``==`` would raise.
 
 No n x n integer array is derived from the matrix on the solve path.
 :func:`reorder` returns a :class:`ReorderedValuation`: one O(n) view
@@ -162,24 +165,15 @@ class Allocation:
     """A perfect matching of items to consumers.
 
     assignment[i] is the item given to consumer i; assignment is a
-    permutation of 0..n-1.  weight is the total valuation collected by
-    the allocation on its source matrix.
+    permutation of 0..n-1.  The allocation holds nothing else: its
+    weight on a valuation matrix is derived from that matrix, and
+    :func:`reorder` and the certificate check that the sizes agree.
     """
 
     assignment: np.ndarray
-    weight: int
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", _permutation(self.assignment, "assignment"))
-        object.__setattr__(self, "weight", int(self.weight))
-
-    @classmethod
-    def from_assignment(cls, v: ValuationMatrix, assignment) -> "Allocation":
-        """Build an allocation, recomputing its weight from the matrix."""
-        # Checked before the matrix is indexed, so that an item index out
-        # of range is refused as not a permutation.
-        assignment = _permutation(assignment, "assignment", v.n)
-        return cls(assignment, int(v.values[np.arange(v.n), assignment].sum()))
 
     @property
     def n(self) -> int:

@@ -61,8 +61,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-GENERATOR_NAME = "splitmix64"
-
 
 class ParseError(ValueError):
     """An instance or solution file does not match its documented format."""
@@ -433,7 +431,8 @@ class SolutionRecord:
         Floats, strings and booleans are refused, not converted: ``int()``
         would read 3.9 as 3, "5" as 5 and true as 1.  So is a record that
         contradicts itself: n below 1, an assignment or a price list
-        whose length is not n, or a negative iterations_used.
+        whose length is not n, or a negative iterations_used, and one
+        nested too deeply to read.
         """
         try:
             doc = json.loads(text)
@@ -453,7 +452,9 @@ class SolutionRecord:
             if record.iterations_used < 0:
                 raise ValueError(f"iterations_used = {record.iterations_used} is negative")
             return record
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # json reads nested lists recursively, so a deeply nested record
+        # raises RecursionError: a malformed file, not an internal error.
+        except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed solution record: {exc}") from None
 
 

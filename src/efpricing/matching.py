@@ -32,7 +32,7 @@ would not fit: the only column a path can still reach there is free),
 so nothing wraps for any valid matrix.
 
 The factorial brute-force oracle that cross-checks it on small
-instances lives in :mod:`efpricing.oracles`.
+instances lives with the tests, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ def solve_assignment(v: ValuationMatrix) -> MatchingResult:
     for root in free:
         _augment(values, h, row_of_col, col_of_row, root)
 
-    assignment = np.array(col_of_row, dtype=np.int64)
-    return MatchingResult(allocation=Allocation.from_assignment(v, assignment))
+    return MatchingResult(Allocation(np.array(col_of_row, dtype=np.int64)))
 
 
 def _reduce_columns(tight: np.ndarray) -> tuple[list[int], list[int]]:

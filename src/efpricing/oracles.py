@@ -1,14 +1,12 @@
-"""Exhaustive oracles that the tests check the solver against.
+"""The exhaustive revenue oracle, kept in the package for the benchmark.
 
-Neither is on the solve path, and both are factorial: they are meant
-for small instances.
-
-* :func:`brute_force_assignment` enumerates all n! assignments, against
-  which the tests check the matcher.
-* :func:`brute_force_max_revenue` enumerates every allocation and solves
-  each one's stability system by longest-path closure over its gap
-  matrix, against which the tests and the benchmark's checks compare
-  the revenue of the computed prices.
+:func:`brute_force_max_revenue` enumerates every allocation and solves
+each one's stability system by longest-path closure over its gap
+matrix; the tests and the benchmark's checks compare the revenue of the
+computed prices against it.  It is not on the solve path, and it is
+factorial: it is meant for small instances.  The matching oracle lives
+with the tests; this one stays in the package only because the
+benchmark's checks reach it as ``efpricing.brute_force_max_revenue``.
 """
 
 from __future__ import annotations
@@ -17,44 +15,12 @@ import itertools
 
 import numpy as np
 
-from .core import Allocation, InstanceTooLargeError, ValuationMatrix
-from .matching import MatchingResult
-
-#: Hard guard for the factorial assignment oracle.
-BRUTE_FORCE_LIMIT = 10
+from .core import InstanceTooLargeError, ValuationMatrix
 
 #: Guard for the factorial revenue oracle.
 REVENUE_ORACLE_LIMIT = 6
 
 _NEG = -(2**62)
-
-
-def brute_force_assignment(v: ValuationMatrix) -> MatchingResult:
-    """Exact maximum by enumerating all n! assignments.
-
-    Among equal-weight maxima the lexicographically smallest assignment
-    is returned.  Guarded to n <= 10.
-    """
-    n = v.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLargeError(
-            f"brute-force enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got {n}"
-        )
-    rows = np.arange(n)
-    perms = itertools.permutations(range(n))
-    best_weight = -1
-    best = None
-    while True:
-        chunk = list(itertools.islice(perms, 40320))
-        if not chunk:
-            break
-        block = np.array(chunk, dtype=np.int64)
-        weights = v.values[rows, block].sum(axis=1)
-        k = int(np.argmax(weights))
-        if int(weights[k]) > best_weight:
-            best_weight = int(weights[k])
-            best = block[k]
-    return MatchingResult(allocation=Allocation(assignment=best, weight=best_weight))
 
 
 def brute_force_max_revenue(v: ValuationMatrix) -> int:

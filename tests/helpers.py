@@ -1,11 +1,16 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the oracles it checks against."""
 
 import contextlib
+import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
-from efpricing import ReorderedValuation, ValuationMatrix
+from efpricing import Allocation, InstanceTooLargeError, ReorderedValuation, ValuationMatrix
 from efpricing import core
+
+#: Hard guard for the factorial assignment oracle.
+BRUTE_FORCE_LIMIT = 10
 
 
 def random_matrix(rng, n, hi):
@@ -102,3 +107,62 @@ def chain(n, seed, rows, cols, step=1, drop=0):
     values[idx[:-1], idx[:-1] + 1] = h + step
     values[0, 1] -= drop
     return values[np.array(rows)][:, np.array(cols)]
+
+
+def weight(v, allocation):
+    """Total valuation that allocation collects on the matrix v."""
+    return int(v.values[np.arange(v.n), allocation.assignment].sum())
+
+
+def brute_force_assignment(v):
+    """Exact maximum-weight allocation by enumerating all n! assignments.
+
+    Among equal-weight maxima the lexicographically smallest assignment
+    is returned.  Guarded to n <= BRUTE_FORCE_LIMIT.
+    """
+    n = v.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLargeError(
+            f"brute-force enumeration limited to n <= {BRUTE_FORCE_LIMIT}, got {n}"
+        )
+    rows = np.arange(n)
+    perms = itertools.permutations(range(n))
+    best_weight = -1
+    best = None
+    while True:
+        chunk = list(itertools.islice(perms, 40320))
+        if not chunk:
+            break
+        block = np.array(chunk, dtype=np.int64)
+        weights = v.values[rows, block].sum(axis=1)
+        k = int(np.argmax(weights))
+        if int(weights[k]) > best_weight:
+            best_weight = int(weights[k])
+            best = block[k]
+    return Allocation(best)
+
+
+def lp_prices(v, allocation):
+    """The revenue-maximising envy-free prices of allocation, by linear programming.
+
+    HiGHS maximises sum(p) subject to p[a(i)] - p[j] <= v[i][a(i)] - v[i][j]
+    for every consumer i and item j != a(i), and p[a(i)] <= v[i][a(i)].
+    Each constraint bounds a difference of two prices or one price, so
+    the optimum is integral, and for entries below 2**40 the float
+    solution rounds to it.
+    """
+    n = v.n
+    own = allocation.assignment
+    rows = np.arange(n)
+    values = v.values.astype(float)
+    eye = np.eye(n)
+    # Constraint (i, j) is row i * n + j.  For j = a(i) the envy
+    # constraint reads 0 <= 0, so that row bounds p[a(i)] instead.
+    a_ub = eye[own][:, np.newaxis, :] - eye[np.newaxis, :, :]
+    a_ub[rows, own] = eye[own]
+    b_ub = values[rows, own][:, np.newaxis] - values
+    b_ub[rows, own] = values[rows, own]
+    res = linprog(-np.ones(n), A_ub=a_ub.reshape(n * n, n), b_ub=b_ub.reshape(-1),
+                  bounds=(None, None), method="highs")
+    assert res.status == 0, res.message
+    return np.rint(res.x).astype(np.int64)

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import efpricing
-from efpricing import SolutionRecord, read_solution
-from efpricing import cli
+from efpricing import SolutionRecord, generate, read_solution, serialize, solve_assignment
+from efpricing import cli, core
 from efpricing.cli import CSV_HEADER, main, student_t_quantile
 
 
@@ -222,6 +228,36 @@ class TestVerify:
         assert captured.err == f"error: malformed solution record: {named}\n"
         assert captured.out == ""
 
+    def test_a_deeply_nested_record_is_a_usage_error(self, instance_2x2, tmp_path, capsys):
+        # json reads it recursively; the RecursionError is a malformed
+        # file, not an internal error.
+        sol = tmp_path / "sol.json"
+        sol.write_text("[" * 100_000)
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed solution record: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_each_allocation_checks_its_permutation_once(
+        self, instance_2x2, tmp_path, monkeypatch, capsys
+    ):
+        sol = tmp_path / "sol.json"
+        assert run_cli("solve", str(instance_2x2), "--out", str(sol)) == 0
+        checked = []
+        permutation = core._permutation
+
+        def counted(values, what, n=None):
+            checked.append(what)
+            return permutation(values, what, n)
+
+        monkeypatch.setattr(core, "_permutation", counted)
+        solve_assignment(generate(30, 1))
+        assert checked == ["assignment"]
+        checked.clear()
+        assert run_cli("verify", str(instance_2x2), str(sol)) == 0
+        assert checked == ["assignment"]
+
     def test_extreme_prices_report_the_exact_gain(self, instance_2x2, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         rec = SolutionRecord(
@@ -268,6 +304,7 @@ class TestBench:
         assert "pricing-time reduction" in table
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
+        assert re.fullmatch(r"15,bellman-ford,0,\d+\.\d{9},\d+\.\d{9},\d+", lines[1])
         # 2 sizes x 3 trials x 2 methods
         assert len(lines) == 1 + 12
 
@@ -394,8 +431,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_oracles_stay_out_of_the_api_but_within_reach():
-    # The exhaustive oracles are not exported and not loaded with the
-    # CLI, but the package still hands them out by name.
+    # The exhaustive revenue oracle is not exported and not loaded with
+    # the CLI, but the package still hands it out by name.
     src = str(Path(efpricing.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, efpricing.cli; print('efpricing.oracles' in sys.modules)"
@@ -405,6 +442,77 @@ def test_oracles_stay_out_of_the_api_but_within_reach():
     assert out.stdout.strip() == "False"
     from efpricing import oracles
 
-    for name in ("brute_force_assignment", "brute_force_max_revenue"):
-        assert name not in efpricing.__all__
+    assert "brute_force_max_revenue" not in efpricing.__all__
     assert efpricing.brute_force_max_revenue is oracles.brute_force_max_revenue
+
+
+# Bytes that the instance and record formats give a meaning to, or that
+# sit on an edge of the token reader.
+FUZZ_BYTES = b" \t\r\n-+_.e0123456789\x00\xff"
+FUZZ_LIMIT = 2048
+
+
+@st.composite
+def mutated(draw, text: bytes) -> bytes:
+    """text after a few byte flips, insertions, deletions and repeated runs."""
+    data = bytearray(text)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["flip", "insert", "delete", "repeat"]))
+        at = draw(st.integers(0, len(data)))
+        if op == "flip" and at < len(data):
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif op == "insert":
+            data[at:at] = bytes(draw(st.lists(st.sampled_from(FUZZ_BYTES), min_size=1, max_size=4)))
+        elif op == "delete":
+            del data[at : at + draw(st.integers(1, 8))]
+        elif op == "repeat":
+            data[at:at] = data[at : at + draw(st.integers(1, 8))] * draw(st.integers(1, 4))
+    return bytes(data[:FUZZ_LIMIT])
+
+
+@st.composite
+def cli_inputs(draw) -> tuple[bytes, bytes]:
+    """An instance file and a solution record, each valid, mutated or arbitrary."""
+    n = draw(st.integers(1, 8))
+    v = generate(n, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([3, 10**6])))
+    solved = cli.solve_and_price(v, ["efpm"])
+    utilities, prices, _ = solved.priced["efpm"]
+    record = SolutionRecord(
+        n=n,
+        assignment=solved.allocation.assignment.tolist(),
+        prices=prices.p.tolist(),
+        revenue=prices.revenue,
+        iterations_used=utilities.iterations_used,
+    ).to_json().encode()
+    files = []
+    for text in (serialize(v).encode(), record):
+        kind = draw(st.sampled_from(["valid", "mutated", "arbitrary"]))
+        if kind == "mutated":
+            text = draw(mutated(text))
+        elif kind == "arbitrary":
+            text = draw(st.binary(max_size=FUZZ_LIMIT))
+        files.append(text)
+    return tuple(files)
+
+
+def assert_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@example(files=(b"2\n5 4\n1 2\n", b"[" * 100_000))
+@given(files=cli_inputs())
+def test_solve_and_verify_map_any_file_to_a_documented_exit_code(files):
+    # Exit 3 is an internal error: no input file may cause it, and no
+    # exception may escape main.
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, record = Path(tmp, "instance.txt"), Path(tmp, "record.json")
+        instance.write_bytes(files[0])
+        record.write_bytes(files[1])
+        assert_documented_exit(["solve", str(instance)])
+        assert_documented_exit(["verify", str(instance), str(record)])

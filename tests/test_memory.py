@@ -101,7 +101,7 @@ def test_parse_holds_one_line_of_the_text_besides_the_matrix():
 
 def test_reorder_builds_no_matrix():
     v = generate(N, 5)
-    a = Allocation.from_assignment(v, np.random.default_rng(5).permutation(N))
+    a = Allocation(np.random.default_rng(5).permutation(N))
     assert traced_peak(reorder, v, a) <= MATRIX_BYTES / 20
     vp = reorder(v, a)
     assert traced_peak(build_gap_matrix, vp) <= MATRIX_BYTES / 20
@@ -136,7 +136,7 @@ def test_write_instance_holds_a_block_not_a_matrix(n, tmp_path):
 @pytest.mark.parametrize("wrap, field, arr", [
     (ValuationMatrix, "values", np.zeros((4, 4), dtype=np.int64)),
     (explicit_gaps, "source", np.zeros((4, 4), dtype=np.int64)),
-    (lambda a: Allocation(a, 0), "assignment", np.arange(4, dtype=np.int64)),
+    (Allocation, "assignment", np.arange(4, dtype=np.int64)),
     (lambda y: UtilityVector(y, 0), "y", np.arange(4, dtype=np.int64)),
     (PriceVector, "p", np.arange(4, dtype=np.int64)),
 ], ids=["ValuationMatrix", "ReorderedValuation", "Allocation", "UtilityVector", "PriceVector"])

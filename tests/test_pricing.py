@@ -27,7 +27,7 @@ def reordered_pair(values, assignment=None):
     v = ValuationMatrix(values)
     if assignment is None:
         assignment = list(range(v.n))
-    vp = reorder(v, Allocation.from_assignment(v, assignment))
+    vp = reorder(v, Allocation(assignment))
     return build_gap_matrix(vp), vp
 
 
@@ -135,7 +135,7 @@ class TestConvergedProperties:
             n = int(rng.integers(1, 25))
             v = random_matrix(rng, n, int(rng.choice([5, 10**6])))
             solved = solve_and_price(v, [method])
-            vp = gaps = solved.view
+            vp = gaps = reorder(v, solved.allocation)
             utilities, prices, _ = solved.priced[method]
             y = utilities.y
             assert utilities.iterations_used <= max(n - 1, 0)
@@ -226,8 +226,9 @@ class TestNonOptimalDetection:
 def test_pricing_refuses_a_second_view_that_is_not_the_first(pricing_fn):
     # Two markets of one size: the second one's winning valuations would
     # price the first market wrongly, with no other sign of the mix-up.
-    vp1 = solve_and_price(generate(5, 1), []).view
-    vp2 = solve_and_price(generate(5, 2), []).view
+    v1, v2 = generate(5, 1), generate(5, 2)
+    vp1 = reorder(v1, solve_and_price(v1, []).allocation)
+    vp2 = reorder(v2, solve_and_price(v2, []).allocation)
     with pytest.raises(ValueError, match="does not match"):
         pricing_fn(build_gap_matrix(vp1), vp2)
     twin = ReorderedValuation(vp1.source, vp1.order)

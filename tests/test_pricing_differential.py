@@ -8,7 +8,9 @@ rounds of dense n x n passes; ``minimality_certificate`` searches
 backwards from the zero set, and must give the same verdict.
 ``reference_bellman_ford`` relaxes an explicit arc list;
 ``prices_bellman_ford`` takes a dense row minimum per pass, and must
-give the same distances, passes and refusals.
+give the same distances, passes and refusals.  ``lp_prices`` solves the
+envy-freeness linear program of an allocation, and its optimum must be
+efpm's prices.
 
 The methods read the valuation rows in blocks; the ``blocked`` tests
 draw the rows a block holds, from one to all of them, so that block
@@ -39,7 +41,8 @@ from efpricing.core import INT64_MAX, max_entry_for
 
 from efpricing import pricing
 
-from helpers import blocks_of, chain, gap_array, reference_efpm, reference_minimality
+from helpers import (blocks_of, chain, gap_array, lp_prices, reference_efpm,
+                     reference_minimality)
 
 
 def reference_bellman_ford(u):
@@ -73,7 +76,7 @@ def priced(values, assignment=None):
     if assignment is None:
         allocation = solve_assignment(v).allocation
     else:
-        allocation = Allocation.from_assignment(v, assignment)
+        allocation = Allocation(assignment)
     vp = reorder(v, allocation)
     return build_gap_matrix(vp), vp
 
@@ -145,6 +148,34 @@ def test_efpm_spends_the_whole_budget_on_chains(data):
     expected = [step * (n - 1 - i) for i in range(n)]
     expected[0] -= drop
     assert sorted(y.tolist()) == sorted(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_efpm_prices_are_the_lp_optimum(data):
+    # Beyond the revenue oracle's n <= 6.  The rounded LP answer is
+    # checked by the dense reference, not by the package's certificate.
+    family = data.draw(st.sampled_from(["random", "ties", "chain", "staircase", "product"]))
+    n = data.draw(st.integers(2 if family == "chain" else 1, 60))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if family == "random":
+        values = generate(n, seed, data.draw(st.sampled_from([10**6, 2**40 - 1]))).values
+    elif family == "ties":
+        values = generate(n, seed, 3).values
+    elif family == "chain":
+        values = chain(n, seed, data.draw(st.permutations(range(n))),
+                       data.draw(st.permutations(range(n))))
+    elif family == "staircase":
+        values = staircase(n)
+    else:
+        values = np.outer(np.arange(n), np.arange(n))
+    v = ValuationMatrix(values)
+    allocation = solve_assignment(v).allocation
+    vp = reorder(v, allocation)
+    _, prices = prices_efpm(build_gap_matrix(vp), vp)
+    lp = lp_prices(v, allocation)
+    assert reference_minimality(vp, UtilityVector(vp.winning - lp, 0))
+    assert np.array_equal(prices.p, lp)
 
 
 @settings(max_examples=300, deadline=None)

@@ -33,7 +33,7 @@ def price_vector(values):
 class TestCheckEnvyFree:
     def test_ties_are_allowed(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         report = check_envy_free(v, a, price_vector([3, 2]))
         assert report.envy_free
         assert report.violations == []
@@ -41,25 +41,24 @@ class TestCheckEnvyFree:
 
     def test_strict_envy_is_flagged(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         report = check_envy_free(v, a, price_vector([4, 2]))
         assert not report.envy_free
         assert report.violations == [(0, 1, 1)]
 
     def test_negative_utility_is_flagged(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         report = check_envy_free(v, a, price_vector([6, 3]))
         assert not report.envy_free
         assert 0 in report.negative_utility_consumers
 
     def test_zero_prices_reduce_to_row_argmax(self):
         v = ValuationMatrix([[9, 1], [2, 8]])  # diagonal-dominant
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         assert check_envy_free(v, a, price_vector([0, 0])).envy_free
         v2 = ValuationMatrix([[1, 9], [2, 8]])
-        a2 = Allocation.from_assignment(v2, [0, 1])
-        report = check_envy_free(v2, a2, price_vector([0, 0]))
+        report = check_envy_free(v2, a, price_vector([0, 0]))
         assert not report.envy_free
 
     def test_extreme_prices_give_exact_gains(self):
@@ -67,7 +66,7 @@ class TestCheckEnvyFree:
         # utility is 2**63 + 4 and it envies nothing; consumer 1 gains
         # exactly 2**63 on item 0.
         v = ValuationMatrix([[5, 4], [1, 2]])
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         report = check_envy_free(v, a, price_vector([-(2**63 - 1), 2]))
         assert report.violations == [(1, 0, 2**63)]
         assert report.negative_utility_consumers == []
@@ -86,8 +85,7 @@ class TestCheckEnvyFree:
                                     min_size=n, max_size=n))
         assignment = data.draw(st.permutations(range(n)))
         v = ValuationMatrix(rows)
-        report = check_envy_free(v, Allocation.from_assignment(v, assignment),
-                                 price_vector(prices))
+        report = check_envy_free(v, Allocation(assignment), price_vector(prices))
         own = [rows[i][assignment[i]] - prices[assignment[i]] for i in range(n)]
         gains = [(i, j, rows[i][j] - prices[j] - own[i]) for i in range(n) for j in range(n)]
         assert report.violations == [(i, j, g) for i, j, g in gains if g > 0]
@@ -95,7 +93,7 @@ class TestCheckEnvyFree:
 
     def test_dimension_mismatch(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         with pytest.raises(ValueError, match="sizes"):
             check_envy_free(v, a, price_vector([1, 2, 3]))
         # A utility vector of one entry too few or too many is refused
@@ -174,19 +172,19 @@ class TestPipelineEnvyFreeness:
 class TestRaisableConsumers:
     def test_optimal_prices_leave_nothing_to_raise(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         assert check_envy_free(v, a, price_vector([3, 2])).raisable == []
 
     def test_zero_prices_leave_everyone_raisable(self):
         v = ValuationMatrix([[5, 4], [1, 2]])
-        a = Allocation.from_assignment(v, [0, 1])
+        a = Allocation([0, 1])
         assert check_envy_free(v, a, price_vector([0, 0])).raisable == [0, 1]
 
     def test_tight_chain_reaches_the_zero_set(self):
         # Utilities (2, 1, 0): consumer 2 is at zero, 1 likes item 2 as
         # much as its own and 0 likes item 1 as much as its own.
         v = ValuationMatrix([[8, 6, 0], [0, 5, 4], [0, 0, 3]])
-        a = Allocation.from_assignment(v, [0, 1, 2])
+        a = Allocation([0, 1, 2])
         report = check_envy_free(v, a, price_vector([6, 4, 3]))
         assert report.envy_free
         assert report.raisable == []
@@ -256,7 +254,7 @@ def test_blocked_checks_match_python_integers(data):
         prices = data.draw(st.lists(
             st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1, m])),
             min_size=n, max_size=n))
-    a = Allocation.from_assignment(v, assignment)
+    a = Allocation(assignment)
     with blocks_of(data.draw(st.integers(1, n), label="rows per block") * n):
         report = check_envy_free(v, a, price_vector(prices))
         own = [rows[i][assignment[i]] - prices[assignment[i]] for i in range(n)]
