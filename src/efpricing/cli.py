@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -277,7 +278,10 @@ def render_json(report: BenchReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it was, so
+    # each in-process solve or verify need not build it again.
     parser = argparse.ArgumentParser(
         prog="efpricing",
         description="Optimal allocations and revenue-maximizing envy-free prices "

@@ -32,11 +32,15 @@ also accepts what ``int()`` accepts but the block reader does not
 both readers give the same values.  A file that is not UTF-8 raises
 :class:`ParseError` too.
 
-:func:`serialize` and :func:`write_instance` format blocks of entries
-one decimal place at a time into a place-major digit table (one row
-per place, one column per entry), dividing in int32 when the matrix
-maximum fits, and keep each place whose quotient is nonzero; the
-blocks bound their working memory.
+:func:`serialize` and :func:`write_instance` write the text in blocks
+of entries, a 64-bit word per entry (more when the matrix maximum has
+eight digits or more), the inverse of the reader's fold: three
+multiply-shift steps split each word's number into its digits, one
+per byte, most significant first.  The bytes before an entry's first
+nonzero digit are cleared to 0, its last byte is its separator, and
+one ``bytes.translate`` drops the cleared bytes.  A block holds fewer
+entries the more words each takes, so it works in about the same
+memory at every width.
 
 Solution files are a single canonical JSON document (sorted keys, no
 spaces, one trailing newline) holding assignment, prices, revenue and
@@ -123,9 +127,9 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
     return ValuationMatrix(values)
 
 
-#: Entries drawn per block by :func:`generate` and formatted per block by
-#: :func:`serialize`.  Each entry takes a few dozen bytes of temporaries,
-#: so a block works in about 1 MiB.
+#: Entries drawn per block by :func:`generate`, and 64-bit words of
+#: entries formatted per block by :func:`serialize`.  Each takes a few
+#: dozen bytes of temporaries, so a block works in under 1 MiB.
 _BLOCK = 1 << 14
 #: About the entries read per block by :func:`_read_plain`.  Each holds
 #: its bytes, its token end and a word or two, about 24 bytes, so a block
@@ -140,6 +144,13 @@ _FRONT = b" " * 8
 _DIGIT_BITS = 0x1010101010101010
 #: The digit bits of a word's four lowest bytes.
 _FOUR_DIGITS = 0x10101010
+#: Added to an entry's words of digits 0..9 per byte, then masked with
+#: 0x80 per byte, to flag its nonzero digits; the last word flags its
+#: units digit, byte 6, whatever it is.
+_FLAG_ADD = np.array([0x7F7F7F7F7F7F7F7F] * 2 + [0x7F807F7F7F7F7F7F], dtype=np.uint64)
+#: ORed into an entry's words of digits: ASCII digits, and a space in the
+#: last word's separator byte.
+_ASCII = np.array([0x3030303030303030] * 2 + [0x2030303030303030], dtype=np.uint64)
 
 
 def serialize(v: ValuationMatrix) -> str:
@@ -147,41 +158,89 @@ def serialize(v: ValuationMatrix) -> str:
     return "".join(str(chunk, "ascii") for chunk in _render(v))
 
 
-def _render(v: ValuationMatrix) -> Iterator[bytes | np.ndarray]:
+def _render(v: ValuationMatrix) -> Iterator[bytes]:
     """The instance text as consecutive ASCII buffers, one per block.
 
-    Each block becomes a place-major table, one column per entry: row 0
-    holds the digits at the highest decimal place of the matrix maximum,
-    row ``digits - 1`` the units and the last row the separators (a
-    newline after the matrix's last column, a space elsewhere), so every
-    write is one contiguous row.  The places are taken from the units
-    up, in int32 when the matrix maximum fits and in int64 otherwise.  A
-    place is kept while the quotient it was taken from is nonzero; the
-    units and the separator are always kept.  The kept bytes, read
-    column by column, are the block's text.
+    Each entry takes ``words`` 64-bit words, enough for the digits of the
+    matrix maximum and a separator, and a block holds ``_BLOCK // words``
+    entries, so that every block works in the same memory whatever the
+    width.
     """
     n = v.n
     flat = v.values.reshape(-1)
-    top = int(flat.max())
-    digits = len(str(top))
-    dtype = np.int32 if top < 2**31 else np.int64
+    words = len(str(int(flat.max()))) // 8 + 1
+    step = _BLOCK // words
     yield f"{n}\n".encode()
-    for start in range(0, flat.size, _BLOCK):
-        rest = flat[start : start + _BLOCK].astype(dtype)
-        quotient = np.empty_like(rest)
-        table = np.empty((digits + 1, rest.size), dtype=np.uint8)
-        keep = np.empty(table.shape, dtype=bool)
-        for place in range(digits - 1, -1, -1):
-            np.floor_divide(rest, 10, out=quotient)
-            np.not_equal(rest, 0, out=keep[place])
-            rest -= quotient * 10
-            table[place] = rest
-            rest, quotient = quotient, rest
-        table[:digits] += ord("0")
-        table[digits] = ord(" ")
-        table[digits, (n - 1 - start) % n :: n] = ord("\n")
-        keep[digits - 1 :] = True
-        yield table.T[keep.T]
+    for start in range(0, flat.size, step):
+        yield _render_block(flat[start : start + step], words, (n - 1 - start) % n, n)
+
+
+def _render_block(x: np.ndarray, words: int, newline: int, n: int) -> bytes:
+    """The text of the entries x, each in ``words`` little-endian words.
+
+    An entry's last word holds its last seven digits and its separator,
+    and each word before it eight more digits, most significant first,
+    one per byte.  Each word's number is split into its digits in three
+    multiply-shift steps: into two 4-digit halves, into 2-digit lanes
+    and into single digits (the inverse of :func:`_fold_digits`).  Every
+    digit becomes ASCII, and the bytes before the entry's first nonzero
+    digit, found as the lowest set bit of the nonzero-digit flags, are
+    cleared to 0; the units digit is always kept.  The separator is a
+    space, or a newline after entry ``newline`` and every n-th one after
+    it.  Dropping the cleared bytes leaves the text.  A function of its
+    own, so that one block's arrays are freed before the next is made.
+    """
+    w = np.empty((x.size, words), dtype=np.uint64)
+    rest, place = x, 10**7
+    for i in range(words - 1, 0, -1):
+        quotient = rest // place
+        w[:, i] = rest - quotient * place
+        rest, place = quotient, 10**8
+    w[:, 0] = rest
+    # Every word is below 10**8.  Each step splits each lane of w by d
+    # into q + ((w - q * d) << s), the quotient in the low half of the
+    # lane and the remainder in the high half, computed as
+    # (w << s) - q * ((d << s) - 1).
+    t = w * 0xD1B71759
+    t >>= 45
+    w <<= 32
+    t *= 10000 * 2**32 - 1
+    w -= t
+    np.multiply(w, 5243, out=t)
+    t >>= 19
+    t &= 0x0000007F0000007F
+    w <<= 16
+    t *= 100 * 2**16 - 1
+    w -= t
+    np.multiply(w, 103, out=t)
+    t >>= 10
+    t &= 0x000F000F000F000F
+    w <<= 8
+    t *= 10 * 2**8 - 1
+    w -= t
+    del t
+    # The last word's number is below 10**7, so its first byte is 0: the
+    # digits move down one byte, and the top byte is the separator's.
+    w[:, -1] >>= 8
+    # 0x80 in each nonzero digit, and in every units digit.
+    flags = w + _FLAG_ADD[-words:]
+    flags &= 0x8080808080808080
+    keep = np.negative(flags)
+    keep &= flags
+    del flags
+    # The byte of each word's lowest flag and every byte above it, and
+    # the whole of each word after one that keeps a byte.
+    keep >>= 7
+    np.negative(keep, out=keep)
+    for i in range(1, words):
+        keep[keep[:, i - 1] != 0, i] = _MASK64
+    w |= _ASCII[-words:]
+    w &= keep
+    del keep
+    w[newline::n, -1] ^= (ord(" ") ^ ord("\n")) << 56
+    text = w.astype("<u8", copy=False).tobytes()
+    del w
+    return text.translate(None, b"\0")
 
 
 def parse(text: str) -> ValuationMatrix:

@@ -62,8 +62,11 @@ empty and a sweep costs a few O(n) steps.
 
 Only when max(y) passes B are the arcs chosen again, with theta = 2 *
 max(y) and one blocked pass over the rows; B >= theta, so theta at
-least doubles each time, and there are O(log max y) such choices.  With
-gap entries in -M..M, M = ``max_entry_for(n)``, and utilities in
+least doubles each time, and there are O(log max y) such choices.
+max(y) itself is read only when it may have passed B: a sweep raises
+it by at most the largest gap G, so the last value read plus G per
+sweep since bounds it, and while that bound is at most B the arcs stay.
+With gap entries in -M..M, M = ``max_entry_for(n)``, and utilities in
 0..(n - 1) * M, every slack lies in -M..n * M, within int64.  In the
 worst case every arc stays kept, and a sweep costs O(n^2) as the dense
 one does, with a larger constant; the O(n^3) bound stands.
@@ -152,9 +155,10 @@ def prices_efpm(
     dropped arcs; no dropped arc can raise y[j] while max(y) <= B (see
     the module docstring), so every iterate equals the dense sweep's.
     When max(y) passes B, the arcs are chosen again with theta = 2 *
-    max(y), capped at INT64_MAX.  Worst case: nearly every arc stays
-    kept, and a sweep costs O(n^2) as a dense one does, but about 1.5
-    to 2 times as long.
+    max(y), capped at INT64_MAX; max(y) is read only once the bound
+    from the largest gap per sweep passes B.  Worst case: nearly every
+    arc stays kept, and a sweep costs O(n^2) as a dense one does, but
+    about 1.5 to 2 times as long.
 
     With gap entries of at most M = max_entry_for(n) in magnitude, each
     sweep raises max(y) by at most M, so max(y) <= (n - 1) * M < INT64_MAX
@@ -165,13 +169,16 @@ def prices_efpm(
     _check_same_view(u, vp)
     n = u.n
     # The largest gap is max(y) after the first sweep.
-    top = int((u.source.max(axis=0) - u.winning).max())
-    if top == 0:
+    gap = int((u.source.max(axis=0) - u.winning).max())
+    if gap == 0:
         return _finish(u, np.zeros(n, dtype=np.int64), 0)
     # y[i] is the utility of the consumer of source row i; the arc tails
     # are those consumers' rows, so y is put in item order only at the end.
     y = np.empty(n, dtype=np.int64)
-    arcs, bound = _choose_arcs(u, y, 2 * top, fill=True)
+    arcs, bound = _choose_arcs(u, y, 2 * gap, fill=True)
+    # A sweep raises max(y) by at most the largest gap, so top bounds
+    # max(y) from above, and max(y) is read only when top passes B.
+    top = gap
     iterations = 0
     changed = True
     while changed:
@@ -181,9 +188,10 @@ def prices_efpm(
                 "the input allocation is not revenue-optimal",
                 sweeps=iterations + 1,
             )
-        top = int(y.max())
         if top > bound:
-            arcs, bound = _choose_arcs(u, y, min(2 * top, INT64_MAX))
+            top = int(y.max())
+            if top > bound:
+                arcs, bound = _choose_arcs(u, y, min(2 * top, INT64_MAX))
         first_tails, first_weights, weights, tails, segments, rows = arcs
         # The first level, then the diagonal: y itself.
         y_next = y[first_tails]
@@ -195,6 +203,7 @@ def prices_efpm(
             more = np.maximum.reduceat(reach, segments)
             y_next[rows] = np.maximum(more, y_next[rows], out=more)
         iterations += 1
+        top += gap
         changed = bool((y_next != y).any())
         y = y_next
     return _finish(u, y[u.order], iterations)

@@ -410,6 +410,27 @@ def test_verify_certifies_in_the_one_call_the_benchmark_traces(
     assert "not revenue-maximal: no consumer has zero utility" in capsys.readouterr().out
 
 
+def test_main_builds_its_parser_once(instance_2x2, tmp_path, monkeypatch, capsys):
+    # Each in-process command parses its arguments with the one parser,
+    # which keeps no state from the command before.
+    parser = cli._build_parser()
+    commands = []
+    parse_args = parser.parse_args
+
+    def recorded(argv):
+        commands.append(argv[0])
+        return parse_args(argv)
+
+    monkeypatch.setattr(parser, "parse_args", recorded)
+    solution = tmp_path / "sol.json"
+    assert run_cli("solve", str(instance_2x2), "--out", str(solution)) == 0
+    assert run_cli("verify", str(instance_2x2), str(solution)) == 0
+    assert run_cli("solve", str(instance_2x2), "--method", "bellman-ford") == 0
+    assert '"prices":[3,2]' in capsys.readouterr().out
+    assert commands == ["solve", "verify", "solve"]
+    assert cli._build_parser() is parser
+
+
 def test_student_t_quantile_matches_scipy():
     from scipy.stats import t
 

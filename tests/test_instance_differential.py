@@ -201,13 +201,17 @@ def test_serialize_matches_the_row_join(rows):
 
 
 def test_serialize_matches_the_row_join_for_every_digit_width():
+    # Every width up to max_entry_for(n), an all-zero matrix, and each
+    # word boundary: an entry takes one 64-bit word up to 10**7 - 1, two
+    # up to 10**15 - 1 and three from there.  The forced 0 is a one-digit
+    # entry among wide ones.
     rng = np.random.default_rng(2024)
     for n in range(1, 13):
         bound = max_entry_for(n)
         tops = [min(bound, 10**width - 1) for width in range(1, len(str(bound)) + 1)]
-        # The writer divides in int32 below 2**31 and in int64 from there.
-        for top in tops + [2**31 - 1, 2**31]:
+        for top in [0] + tops + [10**7, 10**15, 2**31 - 1, 2**31]:
             values = rng.integers(0, top, size=(n, n), endpoint=True)
+            values.flat[rng.integers(n * n)] = 0
             values.flat[rng.integers(n * n)] = top
             v = ValuationMatrix(values)
             assert serialize(v) == reference_serialize(v), (n, top)

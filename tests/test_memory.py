@@ -35,6 +35,7 @@ from efpricing import (
 )
 from efpricing import instance
 from efpricing.cli import main, solve_and_price
+from efpricing.core import max_entry_for
 
 from helpers import chain, explicit_gaps
 
@@ -125,11 +126,14 @@ def test_the_checks_hold_a_fraction_of_a_matrix():
     assert traced_peak(check_envy_free, v, solved.allocation, prices) <= 0.2 * n * n * 8
 
 
+@pytest.mark.parametrize("widest", [False, True], ids=["default", "max_entry_for"])
 @pytest.mark.parametrize("n", [1000, 2000])
-def test_write_instance_holds_a_block_not_a_matrix(n, tmp_path):
-    # The writer formats _BLOCK entries at a time, so its peak does not
-    # grow with n: 40 bytes per block entry is 0.625 MiB.
-    peak = traced_peak(write_instance, generate(n, 11), tmp_path / "instance.txt")
+def test_write_instance_holds_a_block_not_a_matrix(n, widest, tmp_path):
+    # The writer formats _BLOCK words at a time, one to three per entry,
+    # so its peak grows neither with n nor with the entries' width: 40
+    # bytes per block entry is 0.625 MiB.
+    v = generate(n, 11, max_entry_for(n)) if widest else generate(n, 11)
+    peak = traced_peak(write_instance, v, tmp_path / "instance.txt")
     assert peak <= 40 * instance._BLOCK
 
 

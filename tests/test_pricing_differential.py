@@ -463,6 +463,27 @@ def kept_triples(u, arcs):
     return triples
 
 
+def drawn_market(data):
+    """Gap matrix and reordered matrix of a drawn random, tie-heavy,
+    chain-with-drop or staircase market."""
+    family = data.draw(st.sampled_from(["random", "ties", "chain", "staircase"]))
+    if family == "staircase":
+        n = data.draw(st.sampled_from([2, 3, 10, 33]))
+        return priced(staircase(n), list(range(n)))
+    if family == "chain":
+        n = data.draw(st.integers(2, 40))
+        step = data.draw(st.sampled_from([1, 7, 1000]))
+        drop = 0
+        if n >= 5:
+            drop = data.draw(st.integers(0, (n - 1) * step - 1))
+        return priced(chain(n, data.draw(st.integers(0, 2**32 - 1)),
+                            data.draw(st.permutations(range(n))),
+                            data.draw(st.permutations(range(n))), step, drop))
+    n = data.draw(st.integers(1, 14))
+    hi = 3 if family == "ties" else 10**6
+    return priced(square(data.draw, st.integers(0, hi), n))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_the_fused_bound_matches_the_dense_slack(data):
@@ -470,23 +491,8 @@ def test_the_fused_bound_matches_the_dense_slack(data):
     # is replayed with blocks of 1..n rows.  Kept are the arcs with
     # slack y_r[j] - gaps[j][k] below theta; the bound is the least
     # slack of the others.
-    family = data.draw(st.sampled_from(["random", "ties", "chain", "staircase"]))
-    if family == "staircase":
-        n = data.draw(st.sampled_from([2, 3, 10, 33]))
-        gaps, vp = priced(staircase(n), list(range(n)))
-    elif family == "chain":
-        n = data.draw(st.integers(2, 40))
-        step = data.draw(st.sampled_from([1, 7, 1000]))
-        drop = 0
-        if n >= 5:
-            drop = data.draw(st.integers(0, (n - 1) * step - 1))
-        gaps, vp = priced(chain(n, data.draw(st.integers(0, 2**32 - 1)),
-                                data.draw(st.permutations(range(n))),
-                                data.draw(st.permutations(range(n))), step, drop))
-    else:
-        n = data.draw(st.integers(1, 14))
-        hi = 3 if family == "ties" else 10**6
-        gaps, vp = priced(square(data.draw, st.integers(0, hi), n))
+    gaps, vp = drawn_market(data)
+    n = gaps.n
     rows = data.draw(st.integers(1, n), label="rows per block")
     g = gap_array(gaps)
     for y_r, theta, fill, arcs, bound in recorded_choices(gaps, vp):
@@ -502,3 +508,60 @@ def test_the_fused_bound_matches_the_dense_slack(data):
         np.fill_diagonal(kept, False)
         assert kept_triples(gaps, arcs) == {
             (j, k, int(g[j, k])) for j, k in zip(*np.nonzero(kept))}
+
+
+def choices_reading_max_every_sweep(gaps):
+    """(sweep, theta) of each arc choice when max(y) is read before every sweep.
+
+    The iterates are the dense loop's; the arcs are chosen again when
+    max(y) passes the bound of the last choice, as efpm does, and the
+    bounds come from efpm's own choice.  Also returns the iterates, in
+    efpm's row order.
+    """
+    n = gaps.n
+    g = gap_array(gaps)
+
+    def in_rows(y):
+        rows = np.empty_like(y)
+        rows[gaps.order] = y
+        return rows
+
+    y = g.max(axis=1)
+    iterates = [in_rows(y).tolist()]
+    if not y.any():
+        return [], iterates
+    theta = 2 * int(y.max())
+    choices = [(0, theta)]
+    _, bound = pricing._choose_arcs(gaps, in_rows(y), theta)
+    for sweep in range(n - 1):
+        top = int(y.max())
+        if top > bound:
+            theta = min(2 * top, INT64_MAX)
+            choices.append((sweep, theta))
+            _, bound = pricing._choose_arcs(gaps, in_rows(y), theta)
+        y_next = (g + y[np.newaxis, :]).max(axis=1)
+        if np.array_equal(y_next, y):
+            break
+        y = y_next
+        iterates.append(in_rows(y).tolist())
+    return choices, iterates
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arcs_are_chosen_again_at_the_sweeps_that_reading_max_every_sweep_gives(data):
+    # efpm reads max(y) only once the largest gap per sweep may have
+    # carried it past the bound; it must choose again at the same
+    # sweeps, with the same theta, as a loop that reads it every sweep.
+    gaps, vp = drawn_market(data)
+    expected, iterates = choices_reading_max_every_sweep(gaps)
+    got = [(iterates.index(y.tolist()), theta)
+           for y, theta, _, _, _ in recorded_choices(gaps, vp)]
+    assert got == expected
+
+
+def test_the_staircase_chooses_its_arcs_again():
+    # The family on which the test above sees rebuilds after sweep 0.
+    choices, _ = choices_reading_max_every_sweep(priced(staircase(33), list(range(33)))[0])
+    assert len(choices) > 2
+
