@@ -20,8 +20,15 @@ three steps:
    which keeps the bound O(n^3): without a cap this step's progress
    depends on the size of the entries.
 3. Shortest augmenting paths.  Each row still free grows one Dijkstra
-   tree over the reduced costs until it reaches a free column.  h is
+   tree over the reduced costs until it reaches a free column.  A step
+   relaxes the tentative lengths with one elementwise minimum and keeps
+   no predecessors: once the path is found, each column on it goes to
+   the first row, in scan order, that reaches it at its final length,
+   which is the row a strict ``<`` update would have kept.  h is
    updated once per augmentation, not once per step.
+
+Both loops write a row's reduced costs into one buffer of n entries,
+allocated once per call.
 
 All arithmetic is int64 and exact.  h only ever grows, a free column's
 h never moves from colmax, and every matched row is at its minimum
@@ -70,12 +77,13 @@ def solve_assignment(v: ValuationMatrix) -> MatchingResult:
     h = values.max(axis=0)
     row_of_col, col_of_row = _reduce_columns(values == h)
     free = [i for i in range(n) if col_of_row[i] < 0]
+    row = np.empty(n, dtype=np.int64)  # h - values[i] for the row in hand
     for _ in range(2):  # two passes, as Jonker and Volgenant run it
         if not free:
             break
-        free = _reduce_rows(values, h, row_of_col, col_of_row, free)
+        free = _reduce_rows(values, h, row_of_col, col_of_row, free, row)
     for root in free:
-        _augment(values, h, row_of_col, col_of_row, root)
+        _augment(values, h, row_of_col, col_of_row, root, row)
 
     return MatchingResult(Allocation(np.array(col_of_row, dtype=np.int64)))
 
@@ -121,7 +129,7 @@ def _reduce_columns(tight: np.ndarray) -> tuple[list[int], list[int]]:
     return row_of_col, col_of_row
 
 
-def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int]) -> list[int]:
+def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int], reduced) -> list[int]:
     """One pass of augmenting row reduction; returns the rows left free.
 
     A free row takes its cheapest column at reduced cost ``h - values[i]``.
@@ -130,6 +138,7 @@ def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int]) -> list[int
     next.  On a tie there is no gap: the row takes its second-cheapest
     column instead and a displaced holder waits for the next pass.  The
     pass stops after ARR_STEPS_PER_ROW steps per row of the matrix.
+    reduced is the n-entry buffer the row's reduced costs are written to.
     """
     pending = free[::-1]  # a stack: the next row to bid is at the end
     deferred = []
@@ -137,12 +146,12 @@ def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int]) -> list[int
         if not pending:
             break
         i = pending.pop()
-        reduced = h - values[i]
+        np.subtract(h, values[i], out=reduced)
         j1 = int(reduced.argmin())
-        u1 = int(reduced[j1])
+        u1 = reduced.item(j1)
         reduced[j1] = INT64_MAX
         j2 = int(reduced.argmin())
-        u2 = int(reduced[j2])
+        u2 = reduced.item(j2)
         holder = row_of_col[j1]
         if u1 < u2:
             if holder >= 0:
@@ -161,28 +170,40 @@ def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int]) -> list[int
     return pending[::-1] + deferred
 
 
-def _augment(values, h, row_of_col, col_of_row, root: int) -> None:
+def _augment(values, h, row_of_col, col_of_row, root: int, cand) -> None:
     """Match a free row through one shortest path to a free column.
 
     dist holds each column's tentative path length from root; a column
     whose length is final is marked -1, which is larger than every length
     when read as unsigned and smaller than every length when compared
     signed, so neither the minimum search nor the relaxation touches it.
-    Scanned columns keep their lengths in a list, and their h values rise
-    by (mu - length) once the path of length mu is found.
+    Scanning column j, held by row i at length mu, writes row i's
+    lengths ``h - values[i] - offset`` into the buffer cand, where
+    ``offset = h[j] - values[i][j] - mu``, and takes the elementwise
+    minimum with dist.  Row i is at its minimum reduced cost in column
+    j, so every entry of cand is at least mu >= 0 and the -1 marks stay.
+
+    No predecessor is kept during the search.  Each scanned row is kept
+    with its offset, root first with offset 0.  Once the path is found,
+    each column on it goes to the first row, among those scanned before
+    the column's length became final, that reaches it at that length.
+    A strict ``<`` update of a predecessor array keeps the same row:
+    lengths only fall, so the last row that lowered a column is the
+    first that reached its final length.  Scanned columns keep their
+    lengths in a list, and their h values rise by (mu - length) once the
+    path of length mu is found and walked.
     """
     n = values.shape[0]
     dist = h - values[root]
     unsigned = dist.view(np.uint64)
-    pred = np.full(n, root, dtype=np.int64)
-    cand = np.empty(n, dtype=np.int64)
-    better = np.empty(n, dtype=bool)
     free_cols = np.array([j for j in range(n) if row_of_col[j] < 0], dtype=np.int64)
     scanned = []
     lengths = []
+    rows = [root]  # rows[t + 1] holds scanned[t]
+    offsets = [0]
     while True:
         j = int(unsigned.argmin())
-        mu = int(dist[j])
+        mu = dist.item(j)
         i = row_of_col[j]
         if i < 0:
             break
@@ -191,8 +212,8 @@ def _augment(values, h, row_of_col, col_of_row, root: int) -> None:
             # path now, instead of after every tied column is scanned.
             free_dist = dist.take(free_cols)
             k = int(free_dist.argmin())
-            if free_dist[k] == mu:
-                j = int(free_cols[k])
+            if free_dist.item(k) == mu:
+                j = free_cols.item(k)
                 break
         scanned.append(j)
         lengths.append(mu)
@@ -200,15 +221,30 @@ def _augment(values, h, row_of_col, col_of_row, root: int) -> None:
         # Row i reaches its own column j at length mu; its other columns
         # cost their reduced cost more.
         np.subtract(h, values[i], out=cand)
-        cand -= int(h[j]) - int(values[i, j]) - mu
-        np.less(cand, dist, out=better)
-        np.copyto(dist, cand, where=better)
-        np.copyto(pred, i, where=better)
-    if scanned:
-        h[scanned] += mu - np.array(lengths, dtype=np.int64)
+        offset = cand.item(j) - mu
+        cand -= offset
+        np.minimum(dist, cand, out=dist)
+        rows.append(i)
+        offsets.append(offset)
+    # Walk the path back from its free column j, whose final length is
+    # mu and which every scanned row could reach.  The column that the
+    # chosen row rows[t] leaves is scanned[t - 1]: rows[:t] reached it.
+    reached = len(rows)
+    length = mu
+    if reached > 1:
+        row_index = np.array(rows, dtype=np.int64)
+        row_offset = np.array(offsets, dtype=np.int64)
     while True:
-        i = int(pred[j])
+        t = 0
+        if reached > 1:
+            hit = h.item(j) - values[row_index[:reached], j] - row_offset[:reached] == length
+            t = int(hit.argmax())
+        i = rows[t]
         row_of_col[j] = i
         col_of_row[i], j = j, col_of_row[i]
-        if i == root:
+        if t == 0:
             break
+        reached = t
+        length = lengths[t - 1]
+    if scanned:
+        h[scanned] += mu - np.array(lengths, dtype=np.int64)

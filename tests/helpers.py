@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from efpricing import Allocation, InstanceTooLargeError, ReorderedValuation, ValuationMatrix
 from efpricing import core
+from efpricing.matching import _reduce_columns, _reduce_rows
 
 #: Hard guard for the factorial assignment oracle.
 BRUTE_FORCE_LIMIT = 10
@@ -140,6 +141,69 @@ def brute_force_assignment(v):
             best_weight = int(weights[k])
             best = block[k]
     return Allocation(best)
+
+
+def reference_assignment(v):
+    """The matcher with an eager predecessor array, as a permutation.
+
+    Column and row reduction are the package's.  Each Dijkstra step
+    updates ``pred`` where a row strictly lowers a column's length, so
+    each column keeps the first row that reaches its final length.
+    solve_assignment must return the same permutation.
+    """
+    n = v.n
+    values = v.values
+    h = values.max(axis=0)
+    row_of_col, col_of_row = _reduce_columns(values == h)
+    free = [i for i in range(n) if col_of_row[i] < 0]
+    reduced = np.empty(n, dtype=np.int64)
+    for _ in range(2):
+        if not free:
+            break
+        free = _reduce_rows(values, h, row_of_col, col_of_row, free, reduced)
+    for root in free:
+        _reference_augment(values, h, row_of_col, col_of_row, root)
+    return np.array(col_of_row, dtype=np.int64)
+
+
+def _reference_augment(values, h, row_of_col, col_of_row, root):
+    n = values.shape[0]
+    dist = h - values[root]
+    unsigned = dist.view(np.uint64)
+    pred = np.full(n, root, dtype=np.int64)
+    cand = np.empty(n, dtype=np.int64)
+    better = np.empty(n, dtype=bool)
+    free_cols = np.array([j for j in range(n) if row_of_col[j] < 0], dtype=np.int64)
+    scanned = []
+    lengths = []
+    while True:
+        j = int(unsigned.argmin())
+        mu = int(dist[j])
+        i = row_of_col[j]
+        if i < 0:
+            break
+        if lengths and lengths[-1] == mu:
+            free_dist = dist.take(free_cols)
+            k = int(free_dist.argmin())
+            if free_dist[k] == mu:
+                j = int(free_cols[k])
+                break
+        scanned.append(j)
+        lengths.append(mu)
+        dist[j] = -1
+        np.subtract(h, values[i], out=cand)
+        cand -= int(h[j]) - int(values[i, j]) - mu
+        np.less(cand, dist, out=better)
+        np.copyto(dist, cand, where=better)
+        np.copyto(pred, i, where=better)
+    if scanned:
+        h[scanned] += mu - np.array(lengths, dtype=np.int64)
+    while True:
+        i = int(pred[j])
+        row_of_col[j] = i
+        col_of_row[i], j = j, col_of_row[i]
+        if i == root:
+            break
 
 
 def lp_prices(v, allocation):

@@ -14,7 +14,13 @@ from efpricing import (
 )
 from efpricing.core import max_entry_for
 
-from helpers import blocks_of, brute_force_assignment, random_matrix, weight
+from helpers import (
+    blocks_of,
+    brute_force_assignment,
+    random_matrix,
+    reference_assignment,
+    weight,
+)
 
 
 def test_two_by_two_prefers_diagonal():
@@ -85,16 +91,34 @@ def test_weights_match_brute_force_oracle():
         assert sorted(fast.allocation.assignment.tolist()) == list(range(n))
 
 
-# Entries in 0..10^6 hardly tie; entries in 0..3 tie heavily.
-@pytest.mark.parametrize("hi", [10**6, 3])
-def test_weights_match_scipy_on_larger_instances(hi):
+def product(n):
+    """values[i][j] = i * j: every column but the first peaks on the
+    last row, so column reduction leaves n - 2 rows free and nearly all
+    of them augment."""
+    i = np.arange(n, dtype=np.int64)
+    return ValuationMatrix(np.outer(i, i))
+
+
+def uniform(hi):
     rng = np.random.default_rng(37)
-    for n in (25, 60, 120):
-        for _ in range(5):
-            v = random_matrix(rng, n, hi)
-            res = solve_assignment(v)
-            r, c = linear_sum_assignment(v.values, maximize=True)
-            assert weight(v, res.allocation) == int(v.values[r, c].sum())
+    return [random_matrix(rng, n, hi) for n in (25, 60, 120) for _ in range(5)]
+
+
+# Entries in 0..10^6 hardly tie; entries in 0..3 tie heavily.  Products
+# at n = 300 run 296 augmentations, and are exact in float64.
+@pytest.mark.parametrize(
+    "instances",
+    [
+        pytest.param(lambda: uniform(10**6), id="1000000"),
+        pytest.param(lambda: uniform(3), id="3"),
+        pytest.param(lambda: [product(300)], id="product"),
+    ],
+)
+def test_weights_match_scipy_on_larger_instances(instances):
+    for v in instances():
+        res = solve_assignment(v)
+        r, c = linear_sum_assignment(v.values, maximize=True)
+        assert weight(v, res.allocation) == int(v.values[r, c].sum())
 
 
 def efpm_prices(v, allocation):
@@ -139,6 +163,21 @@ def chains(draw):
         if i + 1 < n:
             rows[i][i + 1] = h + 1
     return rows
+
+
+@st.composite
+def tie_heavy(draw):
+    n = draw(st.integers(1, 40))
+    return draw(square(n, st.integers(0, 3)))
+
+
+@st.composite
+def products(draw):
+    """i * j, its rows and columns relabelled."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return product(n).values[rows][:, cols].tolist()
 
 
 @pytest.mark.parametrize(
@@ -188,3 +227,14 @@ def test_blocks_leave_assignment_unchanged(family, data):
     with blocks_of(data.draw(st.integers(1, v.n * v.n), label="entries per block")):
         blocked = solve_assignment(v)
     assert np.array_equal(blocked.allocation.assignment, res.allocation.assignment)
+
+
+@pytest.mark.parametrize("family", [small_entries, extreme_entries, chains, tie_heavy, products])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_same_allocation_as_eager_predecessors(family, data):
+    # Each path column goes to the first scanned row that reaches its
+    # final length, the row a strict < update of a predecessor array keeps.
+    v = ValuationMatrix(data.draw(family()))
+    res = solve_assignment(v)
+    assert res.allocation.assignment.tolist() == reference_assignment(v).tolist()
