@@ -10,6 +10,11 @@ instance and calls the pipeline once, so the matching runs once per
 trial and every method is timed on the same view.  Matching time is
 reported separately and never mixed into pricing time.
 
+:func:`run_bench` builds its report while it runs, as the dict that
+``--format json`` writes: each size, run once and in ascending order,
+appends its trials, then its summaries and its efpm-vs-bellman-ford
+reduction.  The table and the csv report are read from that dict.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (a file that cannot be read or written included), 3 internal error.
 """
@@ -19,13 +24,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,50 +89,27 @@ def solve_and_price(v: ValuationMatrix, methods) -> Solved:
     return Solved(allocation, matching_seconds, priced)
 
 
-@dataclass(frozen=True)
-class BenchTrial:
-    n: int
-    method: str
-    trial: int
-    pricing_seconds: float
-    matching_seconds: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class MethodSummary:
-    n: int
-    method: str
-    trials: int
-    mean_seconds: float
-    std_seconds: float
-    ci_low: float
-    ci_high: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    trials: list[BenchTrial]
-    summaries: list[MethodSummary]
-    #: (n -> percent) mean pricing-time reduction of efpm vs bellman-ford,
-    #: present only when both methods were benchmarked.
-    reductions: dict[int, float]
-
-
 def run_bench(
     sizes: list[int],
     trials: int,
     seed: int,
     methods: list[str],
     warmup: int = 0,
-) -> BenchReport:
+) -> dict:
     """Paired benchmark over freshly generated instances.
 
     Trial t of every size uses seed + t, so both methods always see the
     same inputs.  With warmup > 0, the first instance of each size is
     solved that many extra times, untimed, before any timing starts.
-    A method named twice is benchmarked once.  Each size reports on
-    stderr when its trials are done.
+    A size or a method named twice is benchmarked once, and the sizes
+    run in ascending order.  Each size reports on stderr when its trials
+    are done.
+
+    The report is the document ``--format json`` writes: ``trials``
+    holds one row per (size, trial, method), ``summaries`` one per
+    (size, method), and ``reductions`` maps each size, as a string, to
+    efpm's mean pricing-time reduction against bellman-ford in percent,
+    when both methods ran.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a confidence interval, got {trials}")
@@ -137,28 +118,45 @@ def run_bench(
     if any(n < 1 for n in sizes):
         raise ValueError(f"sizes must be positive, got {sizes}")
     methods = list(dict.fromkeys(methods))
-    rows: list[BenchTrial] = []
-    for n in sizes:
+    t975 = student_t_quantile(0.975, trials - 1)
+    report = {"trials": [], "summaries": [], "reductions": {}}
+    for n in sorted(set(sizes)):
+        seconds = {method: [] for method in methods}
         for trial in range(trials):
             v = generate(n, seed + trial)
             if trial == 0:
                 for _ in range(warmup):
                     solve_and_price(v, methods)
             solved = solve_and_price(v, methods)
-            for method, (utilities, _, seconds) in solved.priced.items():
-                rows.append(
-                    BenchTrial(
-                        n=n,
-                        method=method,
-                        trial=trial,
-                        pricing_seconds=seconds,
-                        matching_seconds=solved.matching_seconds,
-                        iterations=utilities.iterations_used,
-                    )
-                )
+            for method, (utilities, _, pricing_seconds) in solved.priced.items():
+                seconds[method].append(pricing_seconds)
+                report["trials"].append({
+                    "n": n,
+                    "method": method,
+                    "trial": trial,
+                    "pricing_seconds": pricing_seconds,
+                    "matching_seconds": solved.matching_seconds,
+                    "iterations": utilities.iterations_used,
+                })
             _check_agreement(solved.priced, n, trial)
         print(f"benchmarked n={n} ({trials} trials)", file=sys.stderr)
-    return _summarize(rows, methods)
+        means = {}
+        for method, xs in seconds.items():
+            mean = means[method] = sum(xs) / trials
+            std = math.sqrt(sum((x - mean) ** 2 for x in xs) / (trials - 1))
+            half = t975 * std / math.sqrt(trials)
+            report["summaries"].append({
+                "n": n,
+                "method": method,
+                "trials": trials,
+                "mean_seconds": mean,
+                "std_seconds": std,
+                "ci_low": mean - half,
+                "ci_high": mean + half,
+            })
+        if "efpm" in means and means.get("bellman-ford", 0) > 0:
+            report["reductions"][str(n)] = (1.0 - means["efpm"] / means["bellman-ford"]) * 100.0
+    return report
 
 
 def _check_agreement(priced, n, trial):
@@ -209,73 +207,32 @@ def student_t_quantile(q: float, df: int) -> float:
     return math.sqrt(df * y)
 
 
-def _summarize(rows: list[BenchTrial], methods: list[str]) -> BenchReport:
-    summaries = []
-    means: dict[tuple[int, str], float] = {}
-    sizes = sorted({r.n for r in rows})
-    for n in sizes:
-        for method in methods:
-            xs = [r.pricing_seconds for r in rows if r.n == n and r.method == method]
-            k = len(xs)
-            mean = sum(xs) / k
-            var = sum((x - mean) ** 2 for x in xs) / (k - 1)
-            std = math.sqrt(var)
-            half = student_t_quantile(0.975, k - 1) * std / math.sqrt(k)
-            summaries.append(
-                MethodSummary(
-                    n=n,
-                    method=method,
-                    trials=k,
-                    mean_seconds=mean,
-                    std_seconds=std,
-                    ci_low=mean - half,
-                    ci_high=mean + half,
-                )
-            )
-            means[(n, method)] = mean
-    reductions = {}
-    if "efpm" in methods and "bellman-ford" in methods:
-        for n in sizes:
-            bf = means[(n, "bellman-ford")]
-            if bf > 0:
-                reductions[n] = (1.0 - means[(n, "efpm")] / bf) * 100.0
-    return BenchReport(trials=rows, summaries=summaries, reductions=reductions)
-
-
-def render_table(report: BenchReport) -> str:
-    out = io.StringIO()
+def render_table(report: dict) -> str:
     header = f"{'n':>8}  {'method':<14}{'trials':>7}  {'mean (s)':>12}  {'std (s)':>12}  95% CI"
-    print(header, file=out)
-    print("-" * len(header), file=out)
-    for s in report.summaries:
-        print(
-            f"{s.n:>8}  {s.method:<14}{s.trials:>7}  {s.mean_seconds:>12.6f}  "
-            f"{s.std_seconds:>12.6f}  ({s.ci_low:.6f}, {s.ci_high:.6f})",
-            file=out,
+    lines = [header, "-" * len(header)]
+    for s in report["summaries"]:
+        lines.append(
+            "{n:>8}  {method:<14}{trials:>7}  {mean_seconds:>12.6f}  {std_seconds:>12.6f}  "
+            "({ci_low:.6f}, {ci_high:.6f})".format_map(s)
         )
-    for n, pct in report.reductions.items():
-        print(f"pricing-time reduction of efpm vs bellman-ford at n={n}: {pct:.1f}%", file=out)
-    return out.getvalue()
+    for n, pct in report["reductions"].items():
+        lines.append(f"pricing-time reduction of efpm vs bellman-ford at n={n}: {pct:.1f}%")
+    return "\n".join(lines) + "\n"
 
 
-def render_csv(report: BenchReport) -> str:
+def render_csv(report: dict) -> str:
     # Every field is a number or a method name, so none needs quoting.
     lines = [",".join(CSV_HEADER)]
-    for r in report.trials:
+    for r in report["trials"]:
         lines.append(
-            f"{r.n},{r.method},{r.trial},{r.pricing_seconds:.9f},{r.matching_seconds:.9f},"
-            f"{r.iterations}"
+            "{n},{method},{trial},{pricing_seconds:.9f},{matching_seconds:.9f},"
+            "{iterations}".format_map(r)
         )
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: BenchReport) -> str:
-    doc = {
-        "summaries": [asdict(s) for s in report.summaries],
-        "reductions": {str(n): pct for n, pct in report.reductions.items()},
-        "trials": [asdict(r) for r in report.trials],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 @functools.cache
@@ -338,8 +295,8 @@ def _cmd_solve(args) -> int:
     utilities, prices, pricing_seconds = solved.priced[args.method]
     record = SolutionRecord(
         n=v.n,
-        assignment=[int(x) for x in solved.allocation.assignment],
-        prices=[int(x) for x in prices.p],
+        assignment=solved.allocation.assignment.tolist(),
+        prices=prices.p.tolist(),
         revenue=prices.revenue,
         iterations_used=utilities.iterations_used,
     )

@@ -56,11 +56,6 @@ INT64_MIN = -(2**63)
 _ROW_BLOCK = 1 << 13
 
 
-class InstanceTooLargeError(ValueError):
-    """Raised when an exhaustive-search utility is asked to handle an
-    instance beyond its factorial/exponential size guard."""
-
-
 def max_entry_for(n: int) -> int:
     """Largest per-entry value such that summing n entries cannot overflow."""
     return INT64_MAX // max(n, 1)

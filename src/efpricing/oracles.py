@@ -7,6 +7,9 @@ computed prices against it.  It is not on the solve path, and it is
 factorial: it is meant for small instances.  The matching oracle lives
 with the tests; this one stays in the package only because the
 benchmark's checks reach it as ``efpricing.brute_force_max_revenue``.
+:class:`InstanceTooLargeError`, which the oracles raise past their size
+guards, lives here too, so that no serving module defines a type only
+the oracles need.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ import itertools
 
 import numpy as np
 
-from .core import InstanceTooLargeError, ValuationMatrix
+from .core import ValuationMatrix
+
+
+class InstanceTooLargeError(ValueError):
+    """Raised when an exhaustive-search utility is asked to handle an
+    instance beyond its factorial/exponential size guard."""
+
 
 #: Guard for the factorial revenue oracle.
 REVENUE_ORACLE_LIMIT = 6

@@ -156,13 +156,13 @@ def test_criterion_6_non_optimal_detection():
 def test_criterion_7_benchmark_trend(bench_report):
     report, elapsed = bench_report
     assert elapsed < 600.0, f"benchmark took {elapsed:.0f}s, budget is 10 minutes"
-    means = {(s.n, s.method): s.mean_seconds for s in report.summaries}
+    means = {(s["n"], s["method"]): s["mean_seconds"] for s in report["summaries"]}
     for n in (1000, 2000):
         assert means[(n, "efpm")] < means[(n, "bellman-ford")], (
             f"n={n}: efpm mean {means[(n, 'efpm')]:.4f}s not below "
             f"bellman-ford mean {means[(n, 'bellman-ford')]:.4f}s"
         )
-    reductions = ", ".join(f"n={n}: {pct:.1f}%" for n, pct in report.reductions.items())
+    reductions = ", ".join(f"n={n}: {pct:.1f}%" for n, pct in report["reductions"].items())
     print(
         f"criterion 7 benchmark trend: efpm strictly faster on paired trials "
         f"({reductions}; total {elapsed:.0f}s)"
@@ -171,7 +171,7 @@ def test_criterion_7_benchmark_trend(bench_report):
 
 def test_criterion_8_scaling_sanity(bench_report):
     report, _ = bench_report
-    means = {(s.n, s.method): s.mean_seconds for s in report.summaries}
+    means = {(s["n"], s["method"]): s["mean_seconds"] for s in report["summaries"]}
     ratios = {
         method: means[(2000, method)] / means[(1000, method)]
         for method in ("efpm", "bellman-ford")

@@ -320,6 +320,22 @@ class TestBench:
         assert [row.split()[1:3] for row in rows] == [[m, "2"] for m in listed]
         assert len(out.read_text().splitlines()) == 1 + 2 * len(listed)
 
+    def test_a_size_named_twice_runs_once_in_ascending_order(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", "12,8,12", "--trials", "2", "--seed", "3", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        rows = [row.split()[:3] for row in captured.out.splitlines()[2:6]]
+        assert rows == [["8", "bellman-ford", "2"], ["8", "efpm", "2"],
+                        ["12", "bellman-ford", "2"], ["12", "efpm", "2"]]
+        assert captured.err.splitlines()[:2] == [
+            "benchmarked n=8 (2 trials)", "benchmarked n=12 (2 trials)"]
+        lines = out.read_text().splitlines()
+        # 2 sizes x 2 trials x 2 methods
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            [n, method, trial] for n in ("8", "12") for trial in ("0", "1")
+            for method in ("bellman-ford", "efpm")]
+
     def test_unwritable_out_fails_before_the_first_trial(self, tmp_path, capsys):
         out = tmp_path / "missing" / "bench.csv"
         assert run_cli("bench", "--sizes", "3", "--trials", "2", "--out", str(out)) == 2
@@ -452,8 +468,9 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_oracles_stay_out_of_the_api_but_within_reach():
-    # The exhaustive revenue oracle is not exported and not loaded with
-    # the CLI, but the package still hands it out by name.
+    # The exhaustive revenue oracle and its size error are not exported
+    # and not loaded with the CLI, but the package still hands them out
+    # by name.
     src = str(Path(efpricing.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, efpricing.cli; print('efpricing.oracles' in sys.modules)"
@@ -463,8 +480,10 @@ def test_oracles_stay_out_of_the_api_but_within_reach():
     assert out.stdout.strip() == "False"
     from efpricing import oracles
 
-    assert "brute_force_max_revenue" not in efpricing.__all__
-    assert efpricing.brute_force_max_revenue is oracles.brute_force_max_revenue
+    for name in ("brute_force_max_revenue", "InstanceTooLargeError"):
+        assert name not in efpricing.__all__
+        assert getattr(efpricing, name) is getattr(oracles, name)
+    assert not hasattr(core, "InstanceTooLargeError")
 
 
 # Bytes that the instance and record formats give a meaning to, or that
