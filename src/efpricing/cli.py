@@ -15,6 +15,10 @@ reported separately and never mixed into pricing time.
 appends its trials, then its summaries and its efpm-vs-bellman-ford
 reduction.  The table and the csv report are read from that dict.
 
+``verify`` reads the O(n) solution record, then streams the instance
+file into one :func:`check_envy_free` call, which reads and certifies
+it a block of rows at a time and never holds the matrix.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (a file that cannot be read or written included), 3 internal error.
 """
@@ -40,6 +44,7 @@ from .instance import (
     generate,
     read_instance,
     read_solution,
+    stream_instance,
     write_instance,
     write_solution,
 )
@@ -315,24 +320,33 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    v = read_instance(args.instance)
-    record = read_solution(args.solution)
-    if record.n != v.n:
-        print(f"size mismatch: instance n={v.n}, solution n={record.n}", file=sys.stderr)
+    # The record is read first, as it is O(n); the instance is streamed
+    # into the certificate and never held whole.  Nothing is printed
+    # until the instance has been read to its end, and a malformed
+    # instance is reported before anything else.
+    try:
+        record = read_solution(args.solution)
+    except (ParseError, OSError):
+        _drain(stream_instance(args.instance)[1])
+        raise
+    n, blocks = stream_instance(args.instance)
+    if record.n != n:
+        _drain(blocks)
+        print(f"size mismatch: instance n={n}, solution n={record.n}", file=sys.stderr)
         return 2
     try:
         allocation = Allocation(record.assignment)
     except ValueError as exc:
+        _drain(blocks)
         print(f"invalid assignment: {exc}", file=sys.stderr)
         return 1
-    prices = PriceVector(record.prices)
+    report = check_envy_free(blocks, allocation, PriceVector(record.prices))
     failures = 0
     if sum(record.prices) != record.revenue:
         print(
             f"revenue mismatch: record says {record.revenue}, prices sum to {sum(record.prices)}"
         )
         failures += 1
-    report = check_envy_free(v, allocation, prices)
     for consumer, item, gain in report.violations:
         print(f"envy: consumer {consumer} gains {gain} by taking item {item}")
     for consumer in report.negative_utility_consumers:
@@ -340,12 +354,12 @@ def _cmd_verify(args) -> int:
     if not report.envy_free:
         return 1
     raisable = report.raisable
-    if len(raisable) == v.n:
+    if len(raisable) == n:
         print("not revenue-maximal: no consumer has zero utility, so every price can rise")
         failures += 1
     elif raisable:
         print(
-            f"not revenue-maximal: {len(raisable)} of {v.n} consumers (first: {raisable[0]}) "
+            f"not revenue-maximal: {len(raisable)} of {n} consumers (first: {raisable[0]}) "
             "reach no zero-utility consumer along tight arcs, so their prices can rise"
         )
         failures += 1
@@ -353,6 +367,12 @@ def _cmd_verify(args) -> int:
         return 1
     print(f"ok: envy-free and revenue-maximal, revenue {record.revenue}")
     return 0
+
+
+def _drain(blocks) -> None:
+    """Read the rest of a streamed instance, so that a malformed one is reported."""
+    for _ in blocks:
+        pass
 
 
 def _cmd_bench(args) -> int:

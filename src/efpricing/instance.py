@@ -12,22 +12,25 @@ Instance text format:
     lines 2 .. n + 1:    n whitespace-separated nonnegative integers
 
 Reading and writing run in numpy and build no Python object per entry.
-One block reader, :func:`_read_plain`, reads every plain instance (ASCII
-digits, spaces, tabs and line ends) in blocks of rows of about
-``_READ_BLOCK`` entries, straight into the one n x n array it returns,
-so it never holds the whole text or its list of lines.  It reads a
-block a word at a time: it checks the block's bytes by counting each
-kind, finds every token's last digit in one pass over the digit mask,
-gathers the eight bytes that end there as one 64-bit word and folds the
-word's digits into their number in three multiply-shift steps; a token
-of more than eight digits adds the words before it.
-:func:`read_instance` streams a file through it, and :func:`parse`
-hands it an ASCII text one encoded line at a time.  What it refuses (a
-blank line, a sign, a ragged row, a token of more than 19 digits, an
-entry above the bound, any other character) is read once more, whole,
-by the per-token loop.
-The loop is the only place that words a :class:`ParseError`, and it
-also accepts what ``int()`` accepts but the block reader does not
+One block reader, :func:`_plain_blocks`, reads every plain instance
+(ASCII digits, spaces, tabs and line ends) in blocks of rows into the
+buffer it is given, so it never holds the whole text or its list of
+lines: :func:`_read_plain` gives it the n x n array it returns, read
+in blocks of about ``_READ_BLOCK`` entries, and :func:`stream_instance`
+one reused buffer of a few rows, read in larger blocks, whose rows
+``verify`` certifies as they come.  It
+reads a block a word at a time: it checks the block's bytes by counting
+each kind, finds every token's last digit in one pass over the digit
+mask, gathers the eight bytes that end there as one 64-bit word and
+folds the word's digits into their number in three multiply-shift
+steps; a token of more than eight digits adds the words before it.
+:func:`read_instance` and :func:`stream_instance` stream a file
+through it, and :func:`parse` hands it an ASCII text one encoded line
+at a time.  What it refuses (a blank line, a sign, a ragged row, a
+token of more than 19 digits, an entry above the bound, any other
+character) is read once more, whole, by the per-token loop.  The loop
+is the only place that words a :class:`ParseError`, and it also
+accepts what ``int()`` accepts but the block reader does not
 (``1_000``, non-ASCII digits, a zero-padded token of 20 digits), so
 both readers give the same values.  A file that is not UTF-8 raises
 :class:`ParseError` too.
@@ -58,7 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import INT64_MAX, INT64_MIN, ValuationMatrix, max_entry_for
+from .core import (INT64_MAX, INT64_MIN, ValuationMatrix, max_entry_for, row_blocks,
+                   rows_per_block)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -114,7 +118,11 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
         draws = _stream(seed, start, min(_BLOCK, count - start))
         if leftover:
             rejected.append(start + np.flatnonzero(draws >= limit))
-        np.remainder(draws, np.uint64(span), out=draws)
+        # draws - (draws // span) * span: numpy's uint64 remainder by a
+        # scalar takes twice as long as its floor division by one.
+        quotient = draws // np.uint64(span)
+        quotient *= np.uint64(span)
+        draws -= quotient
         flat[start : start + draws.size] = draws
     pending = np.concatenate(rejected)
     cursor = count
@@ -135,6 +143,10 @@ _BLOCK = 1 << 14
 #: its bytes, its token end and a word or two, about 24 bytes, so a block
 #: works in about 0.2 MiB.
 _READ_BLOCK = _BLOCK // 2
+#: About the entries :func:`stream_instance` reads at a time.  It holds
+#: no matrix, so it can spend 0.4 MiB on a read; each read pays about 60
+#: us of numpy calls, and a 400-row file takes 10 reads instead of 20.
+_STREAM_BLOCK = 2 * _READ_BLOCK
 #: The bytes a plain header may hold, besides a carriage return at its end.
 _PLAIN = b"0123456789 \t\n"
 #: Put before each block's rows, so that the eight bytes that end at any
@@ -318,6 +330,45 @@ def read_instance(path) -> ValuationMatrix:
     return ValuationMatrix(values)
 
 
+def stream_instance(path) -> tuple[int, Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """An instance file's n, and its rows in blocks, never the whole matrix.
+
+    The blocks are (first row, rows, scratch), as
+    :func:`~efpricing.core.row_blocks` yields them, of
+    ``rows_per_block(n)`` rows or about ``_STREAM_BLOCK`` entries,
+    whichever is more.  A plain file is decoded block by block into one
+    buffer, which each block hands over as its rows and its scratch
+    both: the next block overwrites it.  Where the block
+    reader refuses the file, partway or at its header, the token loop
+    reads the whole text, raising its :class:`ParseError`, and the
+    blocks start over at row 0, now of the matrix it returns.  n, read
+    when this is called, is the same either way.  Entries lie in
+    0..max_entry_for(n), the bounds both readers enforce.
+    """
+    blocks = _stream_blocks(path)
+    return next(blocks), blocks
+
+
+def _stream_blocks(path):
+    """Yield n, then the blocks of :func:`stream_instance`."""
+    with open(path, "rb", buffering=4 * _READ_BLOCK) as fh:
+        n = _plain_header(fh, os.fstat(fh.fileno()).st_size)
+        if n is not None:
+            yield n
+            rows = max(rows_per_block(n), _STREAM_BLOCK // n)
+            buffer = np.empty((min(rows, n), n), dtype=np.int64)
+            for block in _plain_blocks(fh, n, buffer, _STREAM_BLOCK):
+                if block is None:
+                    break
+                yield block
+            else:
+                return
+    values = _parse_tokens(_read_text(path))
+    if n is None:
+        yield len(values)
+    yield from row_blocks(values)
+
+
 def _read_plain(lines: Iterator[bytes], size: int):
     """The matrix of a plain instance, or None where the token loop must decide.
 
@@ -327,11 +378,25 @@ def _read_plain(lines: Iterator[bytes], size: int):
     and tabs, ended by a newline or a carriage return and newline (the
     last line may end at the end of the file instead, or in a lone
     carriage return), and nothing after them; no token has more than 19
-    digits.  The rows are read in blocks of about
-    ``_READ_BLOCK`` entries, each a word at a time by
-    :func:`_read_plain_rows`.  The matrix is allocated only once the file
-    is large enough to hold it, at two bytes or more per entry, so a
-    wrong header cannot ask for more than four times the file's size.
+    digits.  :func:`_plain_blocks` reads the rows straight into the
+    matrix.
+    """
+    n = _plain_header(lines, size)
+    if n is None:
+        return None
+    values = np.empty((n, n), dtype=np.int64)
+    for block in _plain_blocks(lines, n, values, _READ_BLOCK):
+        if block is None:
+            return None
+    return values
+
+
+def _plain_header(lines: Iterator[bytes], size: int) -> int | None:
+    """n from a plain header line, or None where the token loop must decide.
+
+    The matrix is allocated only once the file is large enough to hold
+    it, at two bytes or more per entry, so a wrong header cannot ask for
+    more than four times the file's size.
     """
     header = next(lines, b"")
     if not _is_plain_line(header):
@@ -342,15 +407,30 @@ def _read_plain(lines: Iterator[bytes], size: int):
         return None
     if n < 1 or size < len(header) + 2 * n * n - 1:
         return None
+    return n
+
+
+def _plain_blocks(lines: Iterator[bytes], n: int, buffer: np.ndarray, part: int):
+    """Read the n rows after a plain header into buffer, as many at a time as it holds.
+
+    Yields (first row, rows, rows) each time the buffer is filled, rows
+    being its first rows, so that a buffer of n rows is the matrix and
+    yields once.  Yields None and stops at the first block that is not
+    plain, and after the last one if anything follows it.  Each block
+    is read in parts of about ``part`` entries, each a word at a time
+    by :func:`_read_plain_rows`.
+    """
     bound = max_entry_for(n)
-    values = np.empty((n, n), dtype=np.int64)
-    step = max(1, _READ_BLOCK // n)
-    for start in range(0, n, step):
-        if not _read_plain_rows(lines, values[start : start + step], bound):
-            return None
+    step = max(1, part // n)
+    for lo in range(0, n, len(buffer)):
+        rows = buffer[: n - lo]
+        for start in range(0, len(rows), step):
+            if not _read_plain_rows(lines, rows[start : start + step], bound):
+                yield None
+                return
+        yield lo, rows, rows
     if next(lines, b""):
-        return None
-    return values
+        yield None
 
 
 def _read_plain_rows(lines: Iterator[bytes], out: np.ndarray, bound: int) -> bool:

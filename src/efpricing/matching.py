@@ -132,12 +132,13 @@ def _reduce_columns(tight: np.ndarray) -> tuple[list[int], list[int]]:
 def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int], reduced) -> list[int]:
     """One pass of augmenting row reduction; returns the rows left free.
 
-    A free row takes its cheapest column at reduced cost ``h - values[i]``.
-    If another row holds that column, the column's h rises by the gap
-    between the row's two cheapest reduced costs and the holder bids
-    next.  On a tie there is no gap: the row takes its second-cheapest
-    column instead and a displaced holder waits for the next pass.  The
-    pass stops after ARR_STEPS_PER_ROW steps per row of the matrix.
+    A free row takes its cheapest column at reduced cost ``h - values[i]``,
+    at once when that column is free.  If another row holds it, the
+    column's h rises by the gap between the row's two cheapest reduced
+    costs and the holder bids next.  On a tie there is no gap: the row
+    takes its second-cheapest column instead and a displaced holder
+    waits for the next pass.  The pass stops after ARR_STEPS_PER_ROW
+    steps per row of the matrix.
     reduced is the n-entry buffer the row's reduced costs are written to.
     """
     pending = free[::-1]  # a stack: the next row to bid is at the end
@@ -148,15 +149,19 @@ def _reduce_rows(values, h, row_of_col, col_of_row, free: list[int], reduced) ->
         i = pending.pop()
         np.subtract(h, values[i], out=reduced)
         j1 = int(reduced.argmin())
+        holder = row_of_col[j1]
+        if holder < 0:
+            # A free column is taken as it is: no gap, no second column.
+            row_of_col[j1] = i
+            col_of_row[i] = j1
+            continue
         u1 = reduced.item(j1)
         reduced[j1] = INT64_MAX
         j2 = int(reduced.argmin())
         u2 = reduced.item(j2)
-        holder = row_of_col[j1]
         if u1 < u2:
-            if holder >= 0:
-                h[j1] += u2 - u1
-        elif holder >= 0:
+            h[j1] += u2 - u1
+        else:
             j1 = j2
             holder = row_of_col[j2]
         row_of_col[j1] = i

@@ -189,7 +189,7 @@ def prices_efpm(
                 sweeps=iterations + 1,
             )
         if top > bound:
-            top = int(y.max())
+            top = y.item(y.argmax())
             if top > bound:
                 arcs, bound = _choose_arcs(u, y, min(2 * top, INT64_MAX))
         first_tails, first_weights, weights, tails, segments, rows = arcs
@@ -204,7 +204,8 @@ def prices_efpm(
             y_next[rows] = np.maximum(more, y_next[rows], out=more)
         iterations += 1
         top += gap
-        changed = bool((y_next != y).any())
+        # Comparing the bytes costs a fifth of an elementwise != and any().
+        changed = y_next.tobytes() != y.tobytes()
         y = y_next
     return _finish(u, y[u.order], iterations)
 

@@ -4,11 +4,20 @@ Nothing here reuses the solver paths.  :func:`check_envy_free` is the
 one certificate: a single pass over the valuation rows, in blocks,
 computes every consumer's exact gain from each switch, and from the
 gains the violations, the own utilities and the tight arcs (gain zero),
-kept in one n x n boolean matrix.  For envy-free prices, a reverse
-search along the tight arcs from the zero-utility consumers finds the
-consumers whose prices could still rise.  :func:`minimality_certificate`
-runs the same pass on the prices of a utility vector.  The
-small-instance revenue oracle lives in :mod:`efpricing.oracles`.
+kept in one n x n boolean matrix.  The blocks may come from a matrix or
+straight from an instance file (:func:`~efpricing.instance.stream_instance`),
+each certified as soon as it is decoded, so that ``verify`` never holds
+the matrix.  For envy-free prices, a reverse search along the tight
+arcs from the zero-utility consumers finds the consumers whose prices
+could still rise.  The arcs are counted first.  When they are few, at
+most ``FEW_ARCS`` per consumer (random and chain markets have two:
+each consumer's own item and one more), they are gathered as
+lists, grouped by item, and searched item by item in Python, in
+O(n + arcs) steps.  Otherwise (tie-heavy markets have dozens per
+consumer) the search runs one level at a time on the boolean matrix,
+a few numpy calls per level.  :func:`minimality_certificate` runs the
+same pass on the prices of a utility vector.  The small-instance
+revenue oracle lives in :mod:`efpricing.oracles`.
 """
 
 from __future__ import annotations
@@ -18,8 +27,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (INT64_MAX, INT64_MIN, Allocation, ReorderedValuation, ValuationMatrix,
-                   row_blocks)
+                   max_entry_for, row_blocks)
 from .pricing import PriceVector, UtilityVector
+
+#: Tight arcs per consumer up to which the reverse search runs item by
+#: item in Python; each consumer's arc to its own item counts.  Random
+#: and chain markets have two per consumer (798 on random-400, 799 and
+#: 999 on chain-400 and chain-500), and there the level search pays a
+#: few numpy calls for each of up to n levels.  Tie-heavy markets have
+#: about 25 (4,925 to 5,035 on entries 0..7 at n = 200), and a few
+#: levels cost a tenth of a Python step per arc.  On generated markets
+#: at n = 400 the two searches cost the same at 2.5 to 4 arcs per
+#: consumer.
+FEW_ARCS = 3
 
 
 @dataclass(frozen=True)
@@ -45,8 +65,15 @@ class EnvyReport:
         return not (self.violations or self.negative_utility_consumers)
 
 
-def check_envy_free(v: ValuationMatrix, a: Allocation, p: PriceVector) -> EnvyReport:
+def check_envy_free(v, a: Allocation, p: PriceVector) -> EnvyReport:
     """Compare every consumer's assigned utility against all alternatives.
+
+    v is a :class:`ValuationMatrix`, or the rows of one in blocks
+    (first row, rows, scratch), as ``row_blocks`` and
+    :func:`~efpricing.instance.stream_instance` yield them, with entries
+    in 0..max_entry_for(n).  A block that starts at row 0 again starts
+    the pass over: a stream does so when its reader hands the file to
+    the token loop partway.
 
     A consumer may be indifferent between several items; only strict
     improvements count as envy.  Consumers whose assigned utility is
@@ -60,7 +87,9 @@ def check_envy_free(v: ValuationMatrix, a: Allocation, p: PriceVector) -> EnvyRe
     reaches can have their prices raised together, and are reported as
     ``raisable``.
     """
-    return _certify(v.values, a.assignment, p.p)
+    if isinstance(v, ValuationMatrix):
+        return _certify(row_blocks(v.values), v.n, a.assignment, p.p, 0, max_entry_for(v.n))
+    return _certify(v, a.n, a.assignment, p.p, 0, max_entry_for(a.n))
 
 
 def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
@@ -78,48 +107,113 @@ def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
     # winning - y would broadcast a y of another length; such a y goes to
     # _certify as it is, whose sizes check rejects it.
     prices = u.winning - y.y if y.y.shape == u.winning.shape else y.y
-    report = _certify(u.source, item_of, prices)
+    # The source of a gap matrix may hold negative entries.
+    report = _certify(row_blocks(u.source), u.n, item_of, prices,
+                      int(u.source.min()), int(u.source.max()))
     return report.envy_free and not report.raisable
 
 
-def _certify(values: np.ndarray, assignment: np.ndarray, prices: np.ndarray) -> EnvyReport:
-    """check_envy_free on plain arrays, whose valuations may be negative."""
-    n = len(values)
+def _check_sizes(n: int, assignment: np.ndarray, prices: np.ndarray) -> None:
     if len(assignment) != n or prices.shape != (n,):
         raise ValueError(
             f"inconsistent sizes: matrix {n}, allocation {len(assignment)}, "
             f"prices {prices.shape}"
         )
-    # Utilities lie in low..high, and gains within their spread; past
-    # int64, the pass runs on Python integers instead.
-    low = int(values.min()) - int(prices.max())
-    high = int(values.max()) - int(prices.min())
+
+
+def _certify(blocks, n: int, assignment: np.ndarray, prices: np.ndarray, low: int, high: int
+             ) -> EnvyReport:
+    """check_envy_free on the row blocks of an n x n matrix with entries in low..high."""
+    _check_sizes(n, assignment, prices)
+    # Utilities lie in low - max(p)..high - min(p), and gains within
+    # their spread; past int64, the pass runs on Python integers instead.
+    low -= int(prices.max())
+    high -= int(prices.min())
     if low < INT64_MIN or high - min(low, 0) > INT64_MAX:
         prices = prices.astype(object)
-    # Each block of rows starts as the utilities and becomes the gains
-    # in place; violations come out in row-major order.
+    # Each block of rows becomes the utilities, in its scratch buffer
+    # (the rows' own, when a stream hands its decode buffer over).  A
+    # row's tight arcs are its utilities equal to its own, and it envies
+    # an item only if its best utility beats its own: only those rows'
+    # gains are formed, and violations come out in row-major order.
     own = np.empty(n, dtype=prices.dtype)
     tight = np.empty((n, n), dtype=bool)
     violations = []
-    for lo, rows, out in row_blocks(values, dtype=prices.dtype):
+    hi = 0
+    for lo, rows, out in blocks:
+        if rows.shape[1] != n:
+            _check_sizes(rows.shape[1], assignment, prices)
+        if lo == 0:
+            violations.clear()
         hi = lo + len(rows)
-        gains = np.subtract(rows, prices, out=out)
-        own[lo:hi] = gains[np.arange(hi - lo), assignment[lo:hi]]
-        gains -= own[lo:hi, np.newaxis]
-        envied = gains > 0
-        if envied.any():
+        if out.dtype == prices.dtype:
+            utilities = np.subtract(rows, prices, out=out)
+        else:
+            utilities = rows - prices
+        mine = own[lo:hi]
+        mine[:] = utilities[np.arange(hi - lo), assignment[lo:hi]]
+        envious = np.flatnonzero(utilities.max(axis=1) > mine)
+        if envious.size:
+            gains = utilities[envious] - mine[envious, np.newaxis]
             violations.extend(
-                (lo + int(i), int(j), int(gains[i, j])) for i, j in np.argwhere(envied)
+                (lo + int(envious[r]), int(j), int(gains[r, j]))
+                for r, j in np.argwhere(gains > 0)
             )
-        np.equal(gains, 0, out=tight[lo:hi])
+        np.equal(utilities, mine[:, np.newaxis], out=tight[lo:hi])
+    if hi != n:
+        raise ValueError(f"the row blocks end at row {hi} of {n}")
     negative = np.flatnonzero(own < 0).tolist()
     if violations or negative:
         return EnvyReport(violations, negative)
-    # A reverse breadth-first search, one level at a time: the consumers
-    # with a tight arc to an item of the frontier join it.  Each item
-    # enters the frontier once, so the search reads each column of tight
-    # once.  A lone item's column is read as a strided view, not copied.
-    unreached = own != 0
+    # Counted before any arc is gathered, so that a tie-heavy market
+    # never lists its n * n arcs.
+    if np.count_nonzero(tight) <= FEW_ARCS * n:
+        unreached = _search_arcs(tight, own != 0, assignment)
+    else:
+        unreached = _search_levels(tight, own != 0, assignment)
+    return EnvyReport(raisable=unreached)
+
+
+def _search_arcs(tight: np.ndarray, unreached: np.ndarray, assignment: np.ndarray
+                 ) -> list[int]:
+    """The consumers no tight chain links to a zero-utility one, item by item.
+
+    The tight arcs are gathered as lists, grouped by item in
+    ``holders``: the consumers held by consumer k, those with a tight
+    arc to k's item, are holders[first[k]:last[k]].  A depth-first
+    search from the zero-utility consumers then visits each arc once,
+    in Python, with no numpy call per step.  Each consumer's arc to its
+    own item, which leads nowhere new, is cleared from tight first.
+    """
+    n = len(tight)
+    tight[np.arange(n), assignment] = False
+    # Flat indices: np.nonzero on the matrix costs ten times as much.
+    consumers, items = np.divmod(np.flatnonzero(tight), n)
+    holders = consumers[np.argsort(items, kind="stable")].tolist()
+    counts = np.bincount(items, minlength=n)
+    ends = counts.cumsum()
+    first = (ends - counts)[assignment].tolist()
+    last = ends[assignment].tolist()
+    stack = np.flatnonzero(~unreached).tolist()
+    unreached = unreached.tolist()
+    while stack:
+        k = stack.pop()
+        for i in holders[first[k] : last[k]]:
+            if unreached[i]:
+                unreached[i] = False
+                stack.append(i)
+    return [i for i, left in enumerate(unreached) if left]
+
+
+def _search_levels(tight: np.ndarray, unreached: np.ndarray, assignment: np.ndarray
+                   ) -> list[int]:
+    """The same consumers, by a reverse breadth-first search one level at a time.
+
+    The consumers with a tight arc to an item of the frontier join it.
+    Each item enters the frontier once, so the search reads each column
+    of tight once.  A lone item's column is read as a strided view, not
+    copied.
+    """
     frontier = assignment[~unreached]
     while frontier.size:
         if frontier.size == 1:
@@ -129,4 +223,4 @@ def _certify(values: np.ndarray, assignment: np.ndarray, prices: np.ndarray) -> 
         newly = (held & unreached).nonzero()[0]
         unreached[newly] = False
         frontier = assignment[newly]
-    return EnvyReport(raisable=unreached.nonzero()[0].tolist())
+    return unreached.nonzero()[0].tolist()

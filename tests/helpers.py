@@ -2,12 +2,15 @@
 
 import contextlib
 import itertools
+import sys
 
 import numpy as np
 from scipy.optimize import linprog
 
-from efpricing import Allocation, InstanceTooLargeError, ReorderedValuation, ValuationMatrix
-from efpricing import core
+from efpricing import (Allocation, EnvyReport, InstanceTooLargeError, ParseError, PriceVector,
+                       ReorderedValuation, ValuationMatrix, read_instance, read_solution)
+from efpricing import core, instance
+from efpricing.core import INT64_MAX, INT64_MIN
 from efpricing.matching import _reduce_columns, _reduce_rows
 
 #: Hard guard for the factorial assignment oracle.
@@ -35,13 +38,14 @@ def gap_array(u):
 
 @contextlib.contextmanager
 def blocks_of(entries):
-    """Run the blocked passes over matrix rows in blocks of about this many entries."""
-    saved = core._ROW_BLOCK
-    core._ROW_BLOCK = entries
+    """Run the blocked passes over matrix rows, and stream instance files,
+    in blocks of about this many entries."""
+    saved = core._ROW_BLOCK, instance._STREAM_BLOCK
+    core._ROW_BLOCK = instance._STREAM_BLOCK = entries
     try:
         yield
     finally:
-        core._ROW_BLOCK = saved
+        core._ROW_BLOCK, instance._STREAM_BLOCK = saved
 
 
 def permutation_matrix(assignment):
@@ -230,3 +234,90 @@ def lp_prices(v, allocation):
                   bounds=(None, None), method="highs")
     assert res.status == 0, res.message
     return np.rint(res.x).astype(np.int64)
+
+
+def reference_check_envy_free(v, a, p):
+    """check_envy_free as one pass over a held matrix and a level-synchronous search.
+
+    The int64-or-Python-integer choice comes from the matrix's own
+    minimum and maximum, and the reverse search runs one level at a
+    time on the n x n tight arcs whatever their number.
+    """
+    values, assignment, prices = v.values, a.assignment, p.p
+    n = len(values)
+    if len(assignment) != n or prices.shape != (n,):
+        raise ValueError(
+            f"inconsistent sizes: matrix {n}, allocation {len(assignment)}, "
+            f"prices {prices.shape}"
+        )
+    low = int(values.min()) - int(prices.max())
+    high = int(values.max()) - int(prices.min())
+    if low < INT64_MIN or high - min(low, 0) > INT64_MAX:
+        prices = prices.astype(object)
+    gains = values - prices
+    own = gains[np.arange(n), assignment]
+    gains -= own[:, np.newaxis]
+    violations = [(int(i), int(j), int(gains[i, j])) for i, j in np.argwhere(gains > 0)]
+    negative = np.flatnonzero(own < 0).tolist()
+    if violations or negative:
+        return EnvyReport(violations, negative)
+    tight = gains == 0
+    unreached = own != 0
+    frontier = assignment[~unreached]
+    while frontier.size:
+        newly = (tight[:, frontier].any(axis=1) & unreached).nonzero()[0]
+        unreached[newly] = False
+        frontier = assignment[newly]
+    return EnvyReport(raisable=unreached.nonzero()[0].tolist())
+
+
+def reference_verify(instance, solution):
+    """``main(["verify", instance, solution])`` as it read the whole matrix first.
+
+    Prints what the command prints and returns its exit code.
+    """
+    try:
+        return _reference_verify(instance, solution)
+    except (ParseError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _reference_verify(instance, solution):
+    v = read_instance(instance)
+    record = read_solution(solution)
+    if record.n != v.n:
+        print(f"size mismatch: instance n={v.n}, solution n={record.n}", file=sys.stderr)
+        return 2
+    try:
+        allocation = Allocation(record.assignment)
+    except ValueError as exc:
+        print(f"invalid assignment: {exc}", file=sys.stderr)
+        return 1
+    failures = 0
+    if sum(record.prices) != record.revenue:
+        print(
+            f"revenue mismatch: record says {record.revenue}, prices sum to {sum(record.prices)}"
+        )
+        failures += 1
+    report = reference_check_envy_free(v, allocation, PriceVector(record.prices))
+    for consumer, item, gain in report.violations:
+        print(f"envy: consumer {consumer} gains {gain} by taking item {item}")
+    for consumer in report.negative_utility_consumers:
+        print(f"negative utility: consumer {consumer} would rather buy nothing")
+    if not report.envy_free:
+        return 1
+    raisable = report.raisable
+    if len(raisable) == v.n:
+        print("not revenue-maximal: no consumer has zero utility, so every price can rise")
+        failures += 1
+    elif raisable:
+        print(
+            f"not revenue-maximal: {len(raisable)} of {v.n} consumers (first: {raisable[0]}) "
+            "reach no zero-utility consumer along tight arcs, so their prices can rise"
+        )
+        failures += 1
+    if failures:
+        return 1
+    print(f"ok: envy-free and revenue-maximal, revenue {record.revenue}")
+    return 0

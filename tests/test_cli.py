@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ import efpricing
 from efpricing import SolutionRecord, generate, read_solution, serialize, solve_assignment
 from efpricing import cli, core
 from efpricing.cli import CSV_HEADER, main, student_t_quantile
+
+from helpers import blocks_of, reference_verify
 
 
 def run_cli(*argv):
@@ -486,6 +489,79 @@ def test_oracles_stay_out_of_the_api_but_within_reach():
     assert not hasattr(core, "InstanceTooLargeError")
 
 
+#: The market of the verify cases below, streamed in blocks of four rows.
+VERIFY_N = 48
+
+
+@pytest.fixture(scope="module")
+def verify_files(tmp_path_factory):
+    """Instance texts and solution records that verify must answer as before.
+
+    The middle and last rows are refused partway, after the first blocks
+    have been certified.  A sign on the last row is refused by the block
+    reader but accepted by the token loop, so the stream starts over.
+    """
+    tmp = tmp_path_factory.mktemp("verify")
+    n = VERIFY_N
+    v = generate(n, 5)
+    solved = cli.solve_and_price(v, ["efpm"])
+    assignment = solved.allocation.assignment.tolist()
+    prices = solved.priced["efpm"][1].p.tolist()
+    rows = serialize(v).splitlines()[1:]
+
+    def with_row(r, text):
+        return "\n".join([str(n), *rows[:r], text, *rows[r + 1:]]) + "\n"
+
+    instances = {
+        "ok": serialize(v),
+        "bad header": f"{n}x\n" + "\n".join(rows) + "\n",
+        "bad middle row": with_row(n // 2, rows[n // 2] + " 7"),
+        "bad last row": with_row(n - 1, "+5"),
+        "signed last row": with_row(n - 1, "+" + rows[n - 1]),
+    }
+    # The first item that a consumer other than its buyer likes as much
+    # as its own: that consumer envies it once its price falls.
+    gains = v.values - solved.priced["efpm"][1].p
+    gains -= gains[np.arange(n), assignment][:, np.newaxis]
+    gains[np.arange(n), assignment] = -1
+    lowered = list(prices)
+    lowered[np.argwhere(gains == 0)[0][1]] -= 1
+
+    def record(n=n, assignment=assignment, prices=prices, revenue=None):
+        revenue = sum(prices) if revenue is None else revenue
+        return SolutionRecord(n, assignment, prices, revenue, 0).to_json()
+
+    solutions = {
+        "ok": record(),
+        "malformed JSON": "{",
+        "wrong n": record(n + 1, [*assignment, n], [*prices, 0]),
+        "invalid assignment": record(assignment=[assignment[1], *assignment[1:]]),
+        "revenue mismatch": record(revenue=sum(prices) + 1),
+        "lowered price": record(prices=lowered),
+    }
+    paths = {}
+    for kind, texts in (("instance", instances), ("solution", solutions)):
+        for name, text in texts.items():
+            paths[kind, name] = tmp / f"{kind}-{name.replace(' ', '-')}"
+            paths[kind, name].write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("solution", ["ok", "malformed JSON", "wrong n", "invalid assignment",
+                                      "revenue mismatch", "lowered price"])
+@pytest.mark.parametrize("instance", ["ok", "bad header", "bad middle row", "bad last row",
+                                      "signed last row"])
+def test_verify_answers_as_when_it_read_the_matrix_first(instance, solution, verify_files,
+                                                         capsys):
+    argv = [str(verify_files["instance", instance]), str(verify_files["solution", solution])]
+    with blocks_of(4 * VERIFY_N):
+        code = main(["verify", *argv])
+    streamed = capsys.readouterr()
+    expected = reference_verify(*argv)
+    reference = capsys.readouterr()
+    assert (code, streamed.out, streamed.err) == (expected, reference.out, reference.err)
+
+
 # Bytes that the instance and record formats give a meaning to, or that
 # sit on an edge of the token reader.
 FUZZ_BYTES = b" \t\r\n-+_.e0123456789\x00\xff"
@@ -556,3 +632,11 @@ def test_solve_and_verify_map_any_file_to_a_documented_exit_code(files):
         record.write_bytes(files[1])
         assert_documented_exit(["solve", str(instance)])
         assert_documented_exit(["verify", str(instance), str(record)])
+        # What verify prints and returns is what it did reading the matrix first.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            streamed = (main(["verify", str(instance), str(record)]), out.getvalue(),
+                        err.getvalue())
+            out.seek(0), out.truncate(), err.seek(0), err.truncate()
+            code = reference_verify(str(instance), str(record))
+        assert streamed == (code, out.getvalue(), err.getvalue())

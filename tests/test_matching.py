@@ -8,6 +8,8 @@ from efpricing import (
     InstanceTooLargeError,
     ValuationMatrix,
     build_gap_matrix,
+    generate,
+    matching,
     prices_efpm,
     reorder,
     solve_assignment,
@@ -119,6 +121,38 @@ def test_weights_match_scipy_on_larger_instances(instances):
         res = solve_assignment(v)
         r, c = linear_sum_assignment(v.values, maximize=True)
         assert weight(v, res.allocation) == int(v.values[r, c].sum())
+
+
+@pytest.mark.parametrize("n, max_value, seed", [(400, 10**6, 101), (300, 1000, 9), (150, 50, 4)])
+def test_row_reduction_takes_a_free_column_as_it_is(n, max_value, seed, monkeypatch):
+    # A row whose cheapest column is free takes it, and h stays as it
+    # is.  The comparison with the eager-predecessor matcher reuses
+    # _reduce_rows, so it cannot see a fault there: after each pass,
+    # every matched row must be at its least reduced cost and no free
+    # column's h may have moved from its column maximum, and the weight
+    # must be scipy's.
+    v = generate(n, seed, max_value)
+    values = v.values
+    colmax = values.max(axis=0)
+    reduce_rows = matching._reduce_rows
+    taken = []
+
+    def checked(values_, h, row_of_col, col_of_row, free, reduced):
+        was_free = [j for j in range(n) if row_of_col[j] < 0]
+        left = reduce_rows(values_, h, row_of_col, col_of_row, free, reduced)
+        taken.append(sum(row_of_col[j] >= 0 for j in was_free))
+        for i, j in enumerate(col_of_row):
+            if j >= 0:
+                assert h[j] - values[i, j] == (h - values[i]).min()
+        assert (h >= colmax).all()
+        assert all(h[j] == colmax[j] for j in range(n) if row_of_col[j] < 0)
+        return left
+
+    monkeypatch.setattr(matching, "_reduce_rows", checked)
+    res = solve_assignment(v)
+    assert sum(taken) > 0
+    r, c = linear_sum_assignment(values, maximize=True)
+    assert weight(v, res.allocation) == int(values[r, c].sum())
 
 
 def efpm_prices(v, allocation):

@@ -1,13 +1,16 @@
 """Memory of the solve path: about one valuation matrix and nothing n x n besides.
 
 The gap matrix is a view, and pricing and the checks read the matrix
-rows in blocks, so a solve or a verify holds the matrix, the blocks and
-what a layer keeps (efpm's arcs, the certificate's n x n booleans).  The
-writer holds one block of entries whatever n is.  Peaks are taken with
-tracemalloc, above what is allocated when the call starts.  One small
-solve runs first, untraced, so that the imports and caches a first
-command fills (argparse's messages, locale tables) are not counted
-against the matrix.
+rows in blocks, so a solve holds the matrix, the blocks and what a
+layer keeps (efpm's arcs).  verify never builds the matrix: it streams
+the instance file into the certificate a block of rows at a time, and
+holds that block, the certificate's n x n booleans of tight arcs (an
+eighth of the matrix) and, for the item-by-item search, the arcs as
+lists.  The writer holds one block of entries whatever n is.  Peaks
+are taken with tracemalloc, above what is allocated when the call
+starts.  One small solve runs first, untraced, so that the imports and
+caches a first command fills (argparse's messages, locale tables) are
+not counted against the matrix.
 """
 
 import contextlib
@@ -86,6 +89,20 @@ def test_verify_holds_about_one_matrix(instance_file, tmp_path):
     solve(instance_file, solution)
     verify(instance_file, solution)
     assert traced_peak(verify, instance_file, solution) <= 1.5 * MATRIX_BYTES
+
+
+def test_verify_streams_the_matrix(tmp_path):
+    # The certificate takes each block of rows as it is read: verify
+    # holds the tight arcs, an eighth of the matrix, one block of rows
+    # (a 64th) and the reader's temporaries, never the matrix.  It
+    # peaked at 1.15x the matrix when it read the matrix first.
+    n = 2000
+    path = tmp_path / "instance.txt"
+    write_instance(generate(n, 11), path)
+    solution = tmp_path / "solution.json"
+    solve(path, solution)
+    verify(path, solution)
+    assert traced_peak(verify, path, solution) <= 0.2 * n * n * 8
 
 
 def test_read_instance_holds_about_one_matrix(instance_file):

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,14 @@ from efpricing import (
     minimality_certificate,
     reorder,
 )
+from efpricing import verify, write_instance
 from efpricing.cli import solve_and_price
-from efpricing.core import max_entry_for
+from efpricing.core import INT64_MAX, max_entry_for
+from efpricing.instance import stream_instance
 from efpricing.oracles import brute_force_max_revenue
 
-from helpers import blocks_of, chain, random_matrix, reference_minimality
+from helpers import (blocks_of, chain, random_matrix, reference_check_envy_free,
+                     reference_minimality)
 
 
 def efpm(v):
@@ -255,16 +261,22 @@ def test_blocked_checks_match_python_integers(data):
             st.one_of(st.integers(-3, 3), st.sampled_from([-(2**63), 2**63 - 1, m])),
             min_size=n, max_size=n))
     a = Allocation(assignment)
-    with blocks_of(data.draw(st.integers(1, n), label="rows per block") * n):
-        report = check_envy_free(v, a, price_vector(prices))
-        own = [rows[i][assignment[i]] - prices[assignment[i]] for i in range(n)]
-        gains = [(i, j, rows[i][j] - prices[j] - own[i]) for i in range(n) for j in range(n)]
-        assert report.violations == [(i, j, g) for i, j, g in gains if g > 0]
-        assert report.negative_utility_consumers == [i for i in range(n) if own[i] < 0]
-        if report.envy_free:
-            assert report.raisable == reference_raisable(rows, assignment, prices)
-        else:
-            assert report.raisable == []
+    own = [rows[i][assignment[i]] - prices[assignment[i]] for i in range(n)]
+    gains = [(i, j, rows[i][j] - prices[j] - own[i]) for i in range(n) for j in range(n)]
+    # The matrix, and the same market streamed from its file, whose
+    # entries are bounded by max_entry_for(n) alone.
+    with blocks_of(data.draw(st.integers(1, n), label="rows per block") * n), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "market.txt")
+        write_instance(v, path)
+        for report in (check_envy_free(v, a, price_vector(prices)),
+                       check_envy_free(stream_instance(path)[1], a, price_vector(prices))):
+            assert report.violations == [(i, j, g) for i, j, g in gains if g > 0]
+            assert report.negative_utility_consumers == [i for i in range(n) if own[i] < 0]
+            if report.envy_free:
+                assert report.raisable == reference_raisable(rows, assignment, prices)
+            else:
+                assert report.raisable == []
 
 
 @pytest.mark.parametrize("cut", [0, 1, 30, 59, 60])
@@ -289,3 +301,84 @@ def test_a_relabelled_chain_is_searched_one_item_a_level(cut):
     utilities = UtilityVector(y=vp.winning - np.array(prices), iterations_used=0)
     assert minimality_certificate(vp, utilities) == reference_minimality(vp, utilities)
     assert minimality_certificate(vp, utilities) == (cut == 0)
+
+
+@st.composite
+def priced_markets(draw):
+    """A market, its optimal allocation, and its optimal prices, lowered or not.
+
+    Chains hold each consumer by the next one only, so the search takes
+    n levels; markets of entries 0..2, and of one entry everywhere, have
+    more than ``FEW_ARCS`` tight arcs per consumer.  Lowering one price
+    breaks envy-freeness where another consumer was tight with that
+    item, and lowering them all leaves no zero-utility consumer.  A
+    price far below zero takes the certificate to Python integers.
+    """
+    family = draw(st.sampled_from(["chain", "ties", "equal"]))
+    n = draw(st.integers(12, 40))
+    if family == "chain":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = chain(n, n, rng.permutation(n), rng.permutation(n))
+    elif family == "ties":
+        values = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+    else:
+        values = [[draw(st.integers(0, max_entry_for(n)))] * n] * n
+    v = ValuationMatrix(values)
+    allocation, optimal = efpm(v)
+    prices = optimal.p.copy()
+    lowered = draw(st.sampled_from(["none", "one", "all", "far"]))
+    cut = draw(st.integers(1, 3))
+    if lowered == "one":
+        prices[draw(st.integers(0, n - 1))] -= cut
+    elif lowered == "all":
+        prices -= cut
+    elif lowered == "far":
+        # Utilities past INT64_MAX where the entries are large.
+        prices[draw(st.integers(0, n - 1))] = max_entry_for(n) // 2 - INT64_MAX
+    return v, allocation, PriceVector(prices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(market=priced_markets(), rows=st.integers(1, 8))
+def test_both_searches_and_the_stream_match_the_reference(market, rows):
+    # The matrix and the same market streamed from its file, in blocks
+    # of a few rows, each against the level search on the whole matrix.
+    v, allocation, prices = market
+    expected = reference_check_envy_free(v, allocation, prices)
+    with tempfile.TemporaryDirectory() as tmp, blocks_of(rows * v.n):
+        path = Path(tmp, "market.txt")
+        write_instance(v, path)
+        n, blocks = stream_instance(path)
+        assert n == v.n
+        for report in (check_envy_free(v, allocation, prices),
+                       check_envy_free(blocks, allocation, prices)):
+            assert report.violations == expected.violations
+            assert report.negative_utility_consumers == expected.negative_utility_consumers
+            assert report.raisable == expected.raisable
+
+
+@pytest.mark.parametrize("family, search", [
+    ("random", "_search_arcs"),
+    ("chain", "_search_arcs"),
+    ("ties", "_search_levels"),
+])
+def test_the_arcs_are_counted_before_either_search(family, search, monkeypatch):
+    # Random and chain markets keep two tight arcs per consumer, under
+    # the cut-off, and tie-heavy ones about a quarter of the row.
+    n = 200
+    if family == "chain":
+        values = chain(n, 1, np.arange(n), np.arange(n))
+    else:
+        values = np.array(random_matrix(np.random.default_rng(7), n,
+                                        7 if family == "ties" else 10**6).values)
+    v = ValuationMatrix(values)
+    allocation, prices = efpm(v)
+    ran = []
+    for name in ("_search_arcs", "_search_levels"):
+        found = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda *args, name=name, found=found: ran.append(name) or found(*args))
+    report = check_envy_free(v, allocation, prices)
+    assert ran == [search]
+    assert report.envy_free and report.raisable == []
