@@ -25,14 +25,17 @@ field-wise ``==`` would raise.
 No n x n integer array is derived from the matrix on the solve path.
 :func:`reorder` returns a :class:`ReorderedValuation`: one O(n) view
 that holds the source matrix and the item-to-consumer order, and
-derives the winning valuations from them.  An explicit gap array g,
-whose diagonal is zero, is the view (g, identity).  The view stands for
-both the reordered matrix and the utility-gap matrix, so
-:func:`build_gap_matrix` returns it unchanged, and it builds neither as
-an array: the solver reads the source rows in blocks instead
-(:func:`row_blocks`), so one solve holds the valuation matrix and O(n)
-state besides, plus the matcher's n x n booleans and the arcs efpm
-keeps.
+derives the winning valuations from them.  Its source is held to the
+matrix contract, entries in 0..max_entry_for(n), the range for which
+the pricing arithmetic is proven not to wrap; so an explicit gap array
+g, whose diagonal is zero, is the view (g - c, identity), with each
+column shifted by its minimum c, which leaves the gaps as they are.
+The view stands for both the reordered matrix and the utility-gap
+matrix, so :func:`build_gap_matrix` returns it unchanged, and it builds
+neither as an array: the solver reads the source rows in blocks
+instead (:func:`row_blocks`), so one solve holds the valuation matrix
+and O(n) state besides, plus the matcher's n x n booleans and the arcs
+efpm keeps.
 """
 
 from __future__ import annotations
@@ -70,15 +73,15 @@ def rows_per_block(n: int, itemsize: int = 8) -> int:
     return max(1, max(_ROW_BLOCK, n * n // 64) * 8 // itemsize // n)
 
 
-def row_blocks(matrix: np.ndarray, dtype=np.int64):
+def row_blocks(matrix: np.ndarray):
     """Yield (first row, rows, scratch) for each block of matrix's rows.
 
-    Blocks are sized by :func:`rows_per_block`.  scratch has the block's
-    shape and the given dtype; it is a view of one buffer, reused by
+    Blocks are sized by :func:`rows_per_block`.  scratch is an int64
+    array of the block's shape; it is a view of one buffer, reused by
     every block and freed with the generator.
     """
-    step = min(rows_per_block(matrix.shape[1], np.dtype(dtype).itemsize), matrix.shape[0])
-    buffer = np.empty((step, matrix.shape[1]), dtype=dtype)
+    step = min(rows_per_block(matrix.shape[1]), matrix.shape[0])
+    buffer = np.empty((step, matrix.shape[1]), dtype=np.int64)
     for lo in range(0, matrix.shape[0], step):
         rows = matrix[lo : lo + step]
         yield lo, rows, buffer[: rows.shape[0]]
@@ -194,9 +197,13 @@ class ReorderedValuation:
     winning[k]: the amount by which item j's winner would prefer item k
     over their own item if item k were priced at its winner's full
     valuation; its diagonal is identically zero.  Neither is held as an
-    n x n array: the pricing methods read the source rows in blocks.  An
-    explicit gap array g, whose diagonal is zero, is the view (g,
-    identity).
+    n x n array: the pricing methods read the source rows in blocks.  The
+    source must meet :class:`ValuationMatrix`'s contract, entries in
+    0..max_entry_for(n), or ValueError is raised: outside it the gaps
+    can leave -M..M and the pricing arithmetic can wrap.  An explicit
+    gap array g, whose diagonal is zero, is the view (g - c, identity),
+    each column shifted by its minimum c into that range; shifting a
+    column shifts its winning valuation too, so the gaps stay the same.
 
     When the allocation is welfare-optimal, every directed cycle over
     the gaps has nonpositive sum, which is what makes the pricing fixed
@@ -208,7 +215,7 @@ class ReorderedValuation:
     winning: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        source = _int64_array(self.source, "valuations", _square)
+        source = _int64_array(self.source, "valuations", ValuationMatrix._check)
         n = source.shape[0]
         order = _permutation(self.order, "order", n)
         winning = _int64_array(source[order, np.arange(n)], "winning valuations")

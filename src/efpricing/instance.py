@@ -12,28 +12,28 @@ Instance text format:
     lines 2 .. n + 1:    n whitespace-separated nonnegative integers
 
 Reading and writing run in numpy and build no Python object per entry.
-One block reader, :func:`_plain_blocks`, reads every plain instance
-(ASCII digits, spaces, tabs and line ends) in blocks of rows into the
-buffer it is given, so it never holds the whole text or its list of
-lines: :func:`_read_plain` gives it the n x n array it returns, read
-in blocks of about ``_READ_BLOCK`` entries, and :func:`stream_instance`
-one reused buffer of a few rows, read in larger blocks, whose rows
-``verify`` certifies as they come.  It
-reads a block a word at a time: it checks the block's bytes by counting
-each kind, finds every token's last digit in one pass over the digit
-mask, gathers the eight bytes that end there as one 64-bit word and
-folds the word's digits into their number in three multiply-shift
-steps; a token of more than eight digits adds the words before it.
-:func:`read_instance` and :func:`stream_instance` stream a file
-through it, and :func:`parse` hands it an ASCII text one encoded line
-at a time.  What it refuses (a blank line, a sign, a ragged row, a
-token of more than 19 digits, an entry above the bound, any other
-character) is read once more, whole, by the per-token loop.  The loop
-is the only place that words a :class:`ParseError`, and it also
-accepts what ``int()`` accepts but the block reader does not
-(``1_000``, non-ASCII digits, a zero-padded token of 20 digits), so
-both readers give the same values.  A file that is not UTF-8 raises
-:class:`ParseError` too.
+One generator, :func:`_instance_blocks`, reads every instance: a plain
+one (ASCII digits, spaces, tabs and line ends) in blocks of rows, into
+one buffer, so it never holds the whole text or its list of lines.
+:func:`read_instance` and :func:`parse` give it a buffer of n rows,
+read about ``_READ_BLOCK`` entries at a time, which is the matrix they
+return; :func:`stream_instance` one reused buffer of a few rows, read
+in larger parts, whose rows ``verify`` certifies as they come.  A file
+is read as it streams from disk, and :func:`parse` hands over its ASCII
+text one encoded line at a time.  Each part is read a word at a time:
+the part's bytes are checked by counting each kind, every token's last
+digit is found in one pass over the digit mask, the eight bytes that
+end there are gathered as one 64-bit word, and the word's digits are
+folded into their number in three multiply-shift steps; a token of
+more than eight digits adds the words before it.  What the block
+reader refuses (a blank line, a sign, a ragged row, a token of more
+than 19 digits, an entry above the bound, any other character) the
+same generator reads once more, whole, by the per-token loop, and the
+blocks start over at row 0.  The loop is the only place that words a
+:class:`ParseError`, and it also accepts what ``int()`` accepts but
+the block reader does not (``1_000``, non-ASCII digits, a zero-padded
+token of 20 digits), so both readers give the same values.  A file
+that is not UTF-8 raises :class:`ParseError` too.
 
 :func:`serialize` and :func:`write_instance` write the text in blocks
 of entries, a 64-bit word per entry (more when the matrix maximum has
@@ -53,6 +53,7 @@ record so that repeated solves of one instance are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from collections.abc import Iterator
@@ -61,8 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (INT64_MAX, INT64_MIN, ValuationMatrix, max_entry_for, row_blocks,
-                   rows_per_block)
+from .core import INT64_MAX, INT64_MIN, ValuationMatrix, max_entry_for, rows_per_block
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -139,9 +139,9 @@ def generate(n: int, seed: int, max_value: int = 1_000_000) -> ValuationMatrix:
 #: entries formatted per block by :func:`serialize`.  Each takes a few
 #: dozen bytes of temporaries, so a block works in under 1 MiB.
 _BLOCK = 1 << 14
-#: About the entries read per block by :func:`_read_plain`.  Each holds
-#: its bytes, its token end and a word or two, about 24 bytes, so a block
-#: works in about 0.2 MiB.
+#: About the entries :func:`read_instance` and :func:`parse` read at a
+#: time.  Each holds its bytes, its token end and a word or two, about 24
+#: bytes, so a read works in about 0.2 MiB.
 _READ_BLOCK = _BLOCK // 2
 #: About the entries :func:`stream_instance` reads at a time.  It holds
 #: no matrix, so it can spend 0.4 MiB on a read; each read pays about 60
@@ -258,11 +258,10 @@ def _render_block(x: np.ndarray, words: int, newline: int, n: int) -> bytes:
 def parse(text: str) -> ValuationMatrix:
     """Parse the instance text format, rejecting anything malformed."""
     # Only ASCII can be plain, and a lone surrogate cannot even be encoded.
-    if text.isascii():
-        values = _read_plain(_encoded_lines(text), len(text))
-        if values is not None:
-            return ValuationMatrix(values)
-    return ValuationMatrix(_parse_tokens(text))
+    if not text.isascii():
+        return ValuationMatrix(_parse_tokens(text))
+    _, (_, values, _) = _instance_blocks(None, text, whole=True)
+    return ValuationMatrix(values)
 
 
 def _encoded_lines(text: str) -> Iterator[bytes]:
@@ -321,12 +320,7 @@ def write_instance(v: ValuationMatrix, path) -> None:
 
 def read_instance(path) -> ValuationMatrix:
     """Read an instance file: streamed when plain, else by the token loop."""
-    # A buffer of about half a block's bytes: the default 8 KiB costs a
-    # read call for every three rows of a file with n = 400.
-    with open(path, "rb", buffering=4 * _READ_BLOCK) as fh:
-        values = _read_plain(fh, os.fstat(fh.fileno()).st_size)
-    if values is None:
-        values = _parse_tokens(_read_text(path))
+    _, (_, values, _) = _instance_blocks(path, None, whole=True)
     return ValuationMatrix(values)
 
 
@@ -338,57 +332,69 @@ def stream_instance(path) -> tuple[int, Iterator[tuple[int, np.ndarray, np.ndarr
     ``rows_per_block(n)`` rows or about ``_STREAM_BLOCK`` entries,
     whichever is more.  A plain file is decoded block by block into one
     buffer, which each block hands over as its rows and its scratch
-    both: the next block overwrites it.  Where the block
-    reader refuses the file, partway or at its header, the token loop
-    reads the whole text, raising its :class:`ParseError`, and the
-    blocks start over at row 0, now of the matrix it returns.  n, read
-    when this is called, is the same either way.  Entries lie in
+    both: the next block overwrites it.  Where the block reader refuses
+    the file, partway or at its header, the token loop reads the whole
+    text, raising its :class:`ParseError`, and the blocks start over at
+    row 0, with one block: the matrix it returns.  n, read when this is
+    called, is the same either way.  Entries lie in
     0..max_entry_for(n), the bounds both readers enforce.
     """
-    blocks = _stream_blocks(path)
+    blocks = _instance_blocks(path, None, whole=False)
     return next(blocks), blocks
 
 
-def _stream_blocks(path):
-    """Yield n, then the blocks of :func:`stream_instance`."""
-    with open(path, "rb", buffering=4 * _READ_BLOCK) as fh:
-        n = _plain_header(fh, os.fstat(fh.fileno()).st_size)
+def _instance_blocks(path, text: str | None, whole: bool):
+    """Yield n, then an instance's rows in blocks (first row, rows, rows).
+
+    The instance is the file at path, or the ASCII text when path is
+    None.  A plain instance is read into one buffer, whose rows each
+    block hands over as its rows and its scratch both.  With whole, the
+    buffer holds all n rows, read in parts of about ``_READ_BLOCK``
+    entries, and is itself the one block, so that
+    :class:`ValuationMatrix` takes it without a copy.  Else it holds the
+    rows of :func:`stream_instance`'s blocks, read in parts of about
+    ``_STREAM_BLOCK`` entries, and the next block overwrites it.
+
+    Plain means: a header, then exactly n rows of n entries within the
+    bound, each line of digits, spaces and tabs, ended by a newline or a
+    carriage return and newline (the last line may end at the end of the
+    file instead, or in a lone carriage return), and nothing after them;
+    no token has more than 19 digits.  At the first block that is not
+    plain, and at the last one if anything follows it, the token loop
+    reads the whole text, raising its :class:`ParseError`, and its
+    matrix is the one block left, at row 0 again.  n comes first either
+    way.
+    """
+    # A file is read through a buffer of about half a block's bytes: the
+    # default 8 KiB costs a read call for every three rows when n = 400.
+    lines = (_encoded_lines(text) if path is None
+             else open(path, "rb", buffering=4 * _READ_BLOCK))
+    with contextlib.closing(lines):
+        n = _plain_header(lines, len(text) if path is None else os.fstat(lines.fileno()).st_size)
         if n is not None:
             yield n
-            rows = max(rows_per_block(n), _STREAM_BLOCK // n)
-            buffer = np.empty((min(rows, n), n), dtype=np.int64)
-            for block in _plain_blocks(fh, n, buffer, _STREAM_BLOCK):
-                if block is None:
-                    break
-                yield block
+            part = _READ_BLOCK if whole else _STREAM_BLOCK
+            height = n if whole else min(max(rows_per_block(n), part // n), n)
+            buffer = np.empty((height, n), dtype=np.int64)
+            bound, step = max_entry_for(n), max(1, part // n)
+            for lo in range(0, n, height):
+                rows = buffer[: n - lo] if lo + height > n else buffer
+                for start in range(0, len(rows), step):
+                    if not _read_plain_rows(lines, rows[start : start + step], bound):
+                        break
+                else:
+                    if lo + height < n or not next(lines, b""):
+                        yield lo, rows, rows
+                        continue
+                break
             else:
                 return
-    values = _parse_tokens(_read_text(path))
+            # Freed before the token loop reads the text.
+            del buffer, rows
+    values = _parse_tokens(text if path is None else _read_text(path))
     if n is None:
         yield len(values)
-    yield from row_blocks(values)
-
-
-def _read_plain(lines: Iterator[bytes], size: int):
-    """The matrix of a plain instance, or None where the token loop must decide.
-
-    lines yields the instance's lines, each ending in its newline, as a
-    binary file of size bytes does.  Plain means: a header, then exactly
-    n rows of n entries within the bound, each line of digits, spaces
-    and tabs, ended by a newline or a carriage return and newline (the
-    last line may end at the end of the file instead, or in a lone
-    carriage return), and nothing after them; no token has more than 19
-    digits.  :func:`_plain_blocks` reads the rows straight into the
-    matrix.
-    """
-    n = _plain_header(lines, size)
-    if n is None:
-        return None
-    values = np.empty((n, n), dtype=np.int64)
-    for block in _plain_blocks(lines, n, values, _READ_BLOCK):
-        if block is None:
-            return None
-    return values
+    yield 0, values, values
 
 
 def _plain_header(lines: Iterator[bytes], size: int) -> int | None:
@@ -408,29 +414,6 @@ def _plain_header(lines: Iterator[bytes], size: int) -> int | None:
     if n < 1 or size < len(header) + 2 * n * n - 1:
         return None
     return n
-
-
-def _plain_blocks(lines: Iterator[bytes], n: int, buffer: np.ndarray, part: int):
-    """Read the n rows after a plain header into buffer, as many at a time as it holds.
-
-    Yields (first row, rows, rows) each time the buffer is filled, rows
-    being its first rows, so that a buffer of n rows is the matrix and
-    yields once.  Yields None and stops at the first block that is not
-    plain, and after the last one if anything follows it.  Each block
-    is read in parts of about ``part`` entries, each a word at a time
-    by :func:`_read_plain_rows`.
-    """
-    bound = max_entry_for(n)
-    step = max(1, part // n)
-    for lo in range(0, n, len(buffer)):
-        rows = buffer[: n - lo]
-        for start in range(0, len(rows), step):
-            if not _read_plain_rows(lines, rows[start : start + step], bound):
-                yield None
-                return
-        yield lo, rows, rows
-    if next(lines, b""):
-        yield None
 
 
 def _read_plain_rows(lines: Iterator[bytes], out: np.ndarray, bound: int) -> bool:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (INT64_MAX, INT64_MIN, Allocation, ReorderedValuation, ValuationMatrix,
-                   max_entry_for, row_blocks)
+from .core import (INT64_MAX, Allocation, ReorderedValuation, ValuationMatrix, max_entry_for,
+                   row_blocks)
 from .pricing import PriceVector, UtilityVector
 
 #: Tight arcs per consumer up to which the reverse search runs item by
@@ -88,8 +88,8 @@ def check_envy_free(v, a: Allocation, p: PriceVector) -> EnvyReport:
     ``raisable``.
     """
     if isinstance(v, ValuationMatrix):
-        return _certify(row_blocks(v.values), v.n, a.assignment, p.p, 0, max_entry_for(v.n))
-    return _certify(v, a.n, a.assignment, p.p, 0, max_entry_for(a.n))
+        return _certify(row_blocks(v.values), v.n, a.assignment, p.p)
+    return _certify(v, a.n, a.assignment, p.p)
 
 
 def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
@@ -107,9 +107,7 @@ def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
     # winning - y would broadcast a y of another length; such a y goes to
     # _certify as it is, whose sizes check rejects it.
     prices = u.winning - y.y if y.y.shape == u.winning.shape else y.y
-    # The source of a gap matrix may hold negative entries.
-    report = _certify(row_blocks(u.source), u.n, item_of, prices,
-                      int(u.source.min()), int(u.source.max()))
+    report = _certify(row_blocks(u.source), u.n, item_of, prices)
     return report.envy_free and not report.raisable
 
 
@@ -121,15 +119,14 @@ def _check_sizes(n: int, assignment: np.ndarray, prices: np.ndarray) -> None:
         )
 
 
-def _certify(blocks, n: int, assignment: np.ndarray, prices: np.ndarray, low: int, high: int
-             ) -> EnvyReport:
-    """check_envy_free on the row blocks of an n x n matrix with entries in low..high."""
+def _certify(blocks, n: int, assignment: np.ndarray, prices: np.ndarray) -> EnvyReport:
+    """check_envy_free on the row blocks of an n x n matrix, entries in 0..max_entry_for(n)."""
     _check_sizes(n, assignment, prices)
-    # Utilities lie in low - max(p)..high - min(p), and gains within
-    # their spread; past int64, the pass runs on Python integers instead.
-    low -= int(prices.max())
-    high -= int(prices.min())
-    if low < INT64_MIN or high - min(low, 0) > INT64_MAX:
+    # Utilities lie in -max(p)..M - min(p), and gains within their
+    # spread; past int64, the pass runs on Python integers instead.  The
+    # prices are int64, so -max(p) is never below INT64_MIN.
+    low, high = -int(prices.max()), max_entry_for(n) - int(prices.min())
+    if high - min(low, 0) > INT64_MAX:
         prices = prices.astype(object)
     # Each block of rows becomes the utilities, in its scratch buffer
     # (the rows' own, when a stream hands its decode buffer over).  A

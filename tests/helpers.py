@@ -22,8 +22,14 @@ def random_matrix(rng, n, hi):
 
 
 def explicit_gaps(rows):
-    """A gap matrix given entry by entry, its diagonal zero: the view (rows, identity)."""
-    return ReorderedValuation(source=rows, order=np.arange(len(rows)))
+    """A gap matrix given entry by entry, its diagonal zero, as the identity view.
+
+    The view's source must lie in 0..max_entry_for(n), so each column is
+    shifted by its minimum; its winning valuation moves with it, and the
+    gaps stay the same.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    return ReorderedValuation(source=rows - rows.min(axis=0), order=np.arange(len(rows)))
 
 
 def reordered_values(u):

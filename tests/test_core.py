@@ -10,9 +10,10 @@ from efpricing import (
     build_gap_matrix,
     reorder,
 )
-from efpricing.core import max_entry_for
+from efpricing.core import INT64_MIN, max_entry_for
 
-from helpers import gap_array, permutation_matrix, random_matrix, reordered_values, weight
+from helpers import (explicit_gaps, gap_array, permutation_matrix, random_matrix,
+                     reordered_values, weight)
 
 
 class TestValuationMatrix:
@@ -151,8 +152,21 @@ class TestGapMatrixView:
 
     def test_explicit_gaps_are_the_identity_view(self):
         gaps = [[0, 2], [-4, 0]]
-        u = ReorderedValuation(source=gaps, order=[0, 1])
+        u = explicit_gaps(gaps)
+        assert u.order.tolist() == [0, 1] and u.source.min() == 0
         assert gap_array(u).tolist() == gaps
+
+    @pytest.mark.parametrize("source, match", [
+        # Outside 0..M the pricing arithmetic wraps: on the first view, whose
+        # allocation is not optimal, both methods would return prices
+        # [10, 10] without an error, and on the second fail obscurely.
+        ([[INT64_MIN + 5, 0], [0, INT64_MIN + 5]], "nonnegative"),
+        ([[INT64_MIN, 0], [0, INT64_MIN]], "nonnegative"),
+        ([[max_entry_for(2) + 1, 0], [0, 0]], "overflow"),
+    ])
+    def test_refuses_a_source_outside_the_matrix_range(self, source, match):
+        with pytest.raises(ValueError, match=match):
+            ReorderedValuation(source=source, order=[0, 1])
 
     def test_rejects_an_order_that_is_no_permutation(self):
         with pytest.raises(ValueError, match="permutation"):

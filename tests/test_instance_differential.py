@@ -3,8 +3,9 @@
 ``reference_parse`` and ``reference_serialize`` are the reader and writer
 as they were before the I/O layer moved to numpy.  Every text must give
 the same matrix, or a ParseError with the same message, and every matrix
-the same bytes.  The streamed file reader, ``read_instance``, must in turn
-give what ``parse`` gives on the file's text.
+the same bytes.  The file readers, ``read_instance`` and
+``stream_instance`` drained into a matrix, must in turn give what
+``parse`` gives on the file's text.
 """
 
 import hashlib
@@ -25,6 +26,9 @@ from efpricing import (
 )
 from efpricing import instance
 from efpricing.core import max_entry_for
+from efpricing.instance import stream_instance
+
+from helpers import blocks_of
 
 
 def reference_parse(text):
@@ -245,11 +249,41 @@ def read_outcome(tmp_path, text):
     return outcome(lambda _: read_instance(path), text)
 
 
+def drain(path):
+    """The matrix of stream_instance's blocks of path.
+
+    Each block must start where the one before it ended, or at row 0,
+    which starts the matrix over, as the certificate starts its pass
+    over.  Each block is copied, as the next one may overwrite it.
+    """
+    n, blocks = stream_instance(path)
+    kept = []
+    for lo, rows, _ in blocks:
+        if lo == 0:
+            kept.clear()
+        assert lo == sum(map(len, kept))
+        kept.append(rows.copy())
+    values = np.concatenate(kept)
+    assert values.shape == (n, n)
+    return ValuationMatrix(values)
+
+
+def file_outcomes(tmp_path, text):
+    """read_instance, and stream_instance drained, on text written as a file.
+
+    The stream reads in parts of ``_READ_BLOCK`` entries, as
+    read_instance does, so that both meet a fault at the same boundary.
+    """
+    with blocks_of(instance._READ_BLOCK):
+        return read_outcome(tmp_path, text), outcome(drain, tmp_path / "instance.txt")
+
+
 @settings(max_examples=300, deadline=None)
 @given(instance_texts())
 def test_read_instance_matches_parse(tmp_path_factory, text):
     tmp_path = tmp_path_factory.mktemp("read")
-    assert read_outcome(tmp_path, text) == outcome(parse, text)
+    expected = outcome(parse, text)
+    assert file_outcomes(tmp_path, text) == (expected, expected)
 
 
 def plain_text(n, seed=1):
@@ -313,7 +347,8 @@ def replace_row(text, r, row):
 ])
 @pytest.mark.filterwarnings("error")
 def test_read_instance_matches_parse_on_fixed_cases(tmp_path, text):
-    got, expected = read_outcome(tmp_path, text), outcome(parse, text)
+    (got, streamed), expected = file_outcomes(tmp_path, text), outcome(parse, text)
+    assert streamed == got
     assert expected == outcome(reference_parse, text)
     if "\ud800" in text:
         # Its file is not UTF-8, which read_instance refuses first.
@@ -326,7 +361,7 @@ def test_read_instance_matches_parse_on_fixed_cases(tmp_path, text):
 @pytest.mark.parametrize("fault", [
     "none", "no final newline", "trailing blank line", "blank last row", "tab in last row",
     "short last row", "over bound in last row", "missing last row",
-    "carriage return ends the first block", "bound opens the last block",
+    "carriage return ends the first block", "bound opens the last block", "sign in last row",
 ])
 def test_read_instance_matches_parse_at_block_boundaries(tmp_path, n, fault):
     text = plain_text(n)
@@ -351,14 +386,19 @@ def test_read_instance_matches_parse_at_block_boundaries(tmp_path, n, fault):
         # line end that the token loop reads.
         at = len(text) - len(text.split("\n", min(rows, n) + 1)[-1]) - 1
         text = text[:at] + "\r" + text[at + 1 :]
+    elif fault == "sign in last row":
+        # Refused by the block reader, in the last block, and read by the
+        # token loop: the stream starts over after its first blocks.
+        text = replace_row(text, n - 1, "+" + last)
     elif fault == "bound opens the last block":
         r = (n - 1) // rows * rows
         text = replace_row(text, r, " ".join([str(max_entry_for(n))] + ["7"] * (n - 1)))
     expected = outcome(parse, text)
-    assert read_outcome(tmp_path, text) == expected == outcome(reference_parse, text)
+    assert expected == outcome(reference_parse, text)
+    assert file_outcomes(tmp_path, text) == (expected, expected)
     assert (expected[0] == "ok") == (fault in (
         "none", "no final newline", "tab in last row", "carriage return ends the first block",
-        "bound opens the last block",
+        "bound opens the last block", "sign in last row",
     ))
 
 
@@ -373,20 +413,28 @@ def test_plain_files_are_streamed_not_parsed(tmp_path, monkeypatch):
         path = tmp_path / f"plain-{n}.txt"
         write_instance(v, path)
         assert np.array_equal(read_instance(path).values, v.values)
+        assert np.array_equal(drain(path).values, v.values)
         for text in renderings(v)[1:]:
             path.write_bytes(text.encode())
             assert np.array_equal(read_instance(path).values, v.values)
+            assert np.array_equal(drain(path).values, v.values)
 
 
 @pytest.mark.parametrize("text", ["2\n1 +2\n3 4\n", "2\r1 2\r3 4\r", "2\n1 2\n3 4\n\n"])
 def test_a_refused_file_is_read_by_the_block_reader_once(tmp_path, monkeypatch, text):
+    # Each reader reads the header once and hands the file to the token
+    # loop once: nothing reads it with the block reader a second time.
     calls = []
-    read_plain = instance._read_plain
 
-    def counted(lines, size):
-        calls.append(size)
-        return read_plain(lines, size)
+    def counted(name, found):
+        return lambda *args: calls.append(name) or found(*args)
 
-    monkeypatch.setattr(instance, "_read_plain", counted)
-    assert read_outcome(tmp_path, text) == outcome(reference_parse, text)
-    assert len(calls) == 1
+    for name in ("_plain_header", "_parse_tokens"):
+        monkeypatch.setattr(instance, name, counted(name, getattr(instance, name)))
+    path = tmp_path / "instance.txt"
+    path.write_bytes(text.encode())
+    expected = outcome(reference_parse, text)
+    for read in (read_instance, drain, lambda _: parse(text)):
+        calls.clear()
+        assert outcome(read, path) == expected
+        assert calls == ["_plain_header", "_parse_tokens"]
