@@ -15,9 +15,10 @@ reported separately and never mixed into pricing time.
 appends its trials, then its summaries and its efpm-vs-bellman-ford
 reduction.  The table and the csv report are read from that dict.
 
-``verify`` reads the O(n) solution record, then streams the instance
-file into one :func:`check_envy_free` call, which reads and certifies
-it a block of rows at a time and never holds the matrix.
+``verify`` opens the instance file once, reads the O(n) solution
+record, then streams the instance's rows into one
+:func:`check_envy_free` call, which certifies them a block at a time
+and never holds the matrix.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (a file that cannot be read or written included), 3 internal error.
@@ -320,16 +321,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # The record is read first, as it is O(n); the instance is streamed
-    # into the certificate and never held whole.  Nothing is printed
-    # until the instance has been read to its end, and a malformed
-    # instance is reported before anything else.
+    # The instance is opened once, and streamed into the certificate
+    # and never held whole; the O(n) record is read before its rows.
+    # Nothing is printed until the instance has been read to its end,
+    # and a malformed instance is reported before anything else.
+    n, blocks = stream_instance(args.instance)
     try:
         record = read_solution(args.solution)
     except (ParseError, OSError):
-        _drain(stream_instance(args.instance)[1])
+        _drain(blocks)
         raise
-    n, blocks = stream_instance(args.instance)
     if record.n != n:
         _drain(blocks)
         print(f"size mismatch: instance n={n}, solution n={record.n}", file=sys.stderr)

@@ -10,32 +10,34 @@ Index convention: rows are consumers, columns are items.  After an
 allocation is applied (:func:`reorder`), index i refers simultaneously to
 item i and to the consumer who won item i.
 
-Ownership: every value type (the three here, and pricing's
-UtilityVector and PriceVector) takes an int64, C-contiguous array that
-owns its data as it is, without a copy, and marks it read-only, so the
-caller's array can no longer be written.  Any other input (a list, a
-view, a Fortran-order or non-int64 array) is copied, in C order.  A
-non-integer dtype, or a uint64 entry above the int64 range, is refused.
-No value type takes as an input a field that can be derived from its
-others: an :class:`Allocation` is its permutation alone, and a view
-derives its winning valuations.  The value types compare and hash by
+Ownership: every value type that holds an array (the matrix and the
+allocation here, and pricing's UtilityVector and PriceVector) takes an
+int64, C-contiguous array that owns its data as it is, without a copy,
+and marks it read-only, so the caller's array can no longer be
+written.  Any other input (a list, a view, a Fortran-order or
+non-int64 array) is copied, in C order.  A non-integer dtype, or a
+uint64 entry above the int64 range, is refused.  Each check has one
+owner: the view, :class:`ReorderedValuation`, takes no arrays but a
+:class:`ValuationMatrix` and an :class:`Allocation`, checked when they
+were built, and checks only that their sizes agree.  No value type
+takes as an input a field that can be derived from its others: an
+:class:`Allocation` is its permutation alone, and a view derives its
+order and winning valuations.  The value types compare and hash by
 identity: an array field has no single truth value, so a generated
 field-wise ``==`` would raise.
 
 No n x n integer array is derived from the matrix on the solve path.
 :func:`reorder` returns a :class:`ReorderedValuation`: one O(n) view
-that holds the source matrix and the item-to-consumer order, and
-derives the winning valuations from them.  Its source is held to the
-matrix contract, entries in 0..max_entry_for(n), the range for which
-the pricing arithmetic is proven not to wrap; so an explicit gap array
-g, whose diagonal is zero, is the view (g - c, identity), with each
-column shifted by its minimum c, which leaves the gaps as they are.
-The view stands for both the reordered matrix and the utility-gap
-matrix, so :func:`build_gap_matrix` returns it unchanged, and it builds
-neither as an array: the solver reads the source rows in blocks
-instead (:func:`row_blocks`), so one solve holds the valuation matrix
-and O(n) state besides, plus the matcher's n x n booleans and the arcs
-efpm keeps.
+that holds the matrix and the allocation, and derives the
+item-to-consumer order and the winning valuations from them.  Its
+source is the matrix's own array, so its entries lie in
+0..max_entry_for(n), the range for which the pricing arithmetic is
+proven not to wrap.  The view stands for both the reordered matrix and
+the utility-gap matrix, so :func:`build_gap_matrix` returns it
+unchanged, and it builds neither as an array: the solver reads the
+source rows in blocks instead (:func:`row_blocks`), so one solve holds
+the valuation matrix and O(n) state besides, plus the matcher's n x n
+booleans and the arcs efpm keeps.
 """
 
 from __future__ import annotations
@@ -107,18 +109,11 @@ def _int64_array(values, what: str, check=None) -> np.ndarray:
     return arr
 
 
-def _square(arr: np.ndarray) -> None:
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"valuation matrix must be square, got shape {arr.shape}")
-
-
-def _permutation(values, what: str, n: int | None = None) -> np.ndarray:
-    """:func:`_int64_array` of a permutation of 0..n-1, n its length by default."""
+def _permutation(values, what: str) -> np.ndarray:
+    """:func:`_int64_array` of a permutation of 0..n-1, n its length."""
     def check(arr):
         if arr.ndim != 1:
             raise ValueError(f"{what} must be a flat index array")
-        if n is not None and arr.shape[0] != n:
-            raise ValueError(f"{what} length {arr.shape[0]} does not match matrix size {n}")
         if not np.array_equal(np.sort(arr), np.arange(arr.shape[0])):
             raise ValueError(f"{what} must be a permutation of 0..n-1")
 
@@ -142,7 +137,8 @@ class ValuationMatrix:
 
     @staticmethod
     def _check(arr: np.ndarray) -> None:
-        _square(arr)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"valuation matrix must be square, got shape {arr.shape}")
         n = arr.shape[0]
         if n < 1:
             raise ValueError("valuation matrix must have n >= 1")
@@ -177,54 +173,57 @@ class Allocation:
     def n(self) -> int:
         return self.assignment.shape[0]
 
-    def item_to_consumer(self) -> np.ndarray:
-        """Inverse permutation: entry i is the consumer who won item i."""
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.assignment] = np.arange(self.n)
-        return inv
-
 
 @dataclass(frozen=True, eq=False)
 class ReorderedValuation:
     """Valuation matrix with rows permuted by an allocation, and its gaps.
 
-    Built from two arrays, the source matrix and the item-to-consumer
-    order, it derives the winning valuations winning[k] =
-    source[order[k]][k] from them.  Row i of the reordered matrix V' is
+    Built from a :class:`ValuationMatrix` and an :class:`Allocation` of
+    the same size, it holds the matrix's own array as its source, the
+    item-to-consumer order, and the winning valuations winning[k] =
+    source[order[k]][k].  Both inputs were checked when they were
+    built, so the view checks only that their sizes agree; anything
+    else raises TypeError.  Row i of the reordered matrix V' is
     source[order[i]], the row of the consumer who won item i, so its
     diagonal holds the winning valuations and sums to the allocation
     weight.  The utility-gap matrix is gaps[j][k] = V'[j][k] -
     winning[k]: the amount by which item j's winner would prefer item k
     over their own item if item k were priced at its winner's full
     valuation; its diagonal is identically zero.  Neither is held as an
-    n x n array: the pricing methods read the source rows in blocks.  The
-    source must meet :class:`ValuationMatrix`'s contract, entries in
-    0..max_entry_for(n), or ValueError is raised: outside it the gaps
-    can leave -M..M and the pricing arithmetic can wrap.  An explicit
-    gap array g, whose diagonal is zero, is the view (g - c, identity),
-    each column shifted by its minimum c into that range; shifting a
-    column shifts its winning valuation too, so the gaps stay the same.
+    n x n array: the pricing methods read the source rows in blocks.
+    The source's entries lie in 0..max_entry_for(n), the range in which
+    the pricing arithmetic cannot wrap.
 
     When the allocation is welfare-optimal, every directed cycle over
     the gaps has nonpositive sum, which is what makes the pricing fixed
     point finite.
     """
 
-    source: np.ndarray
-    order: np.ndarray
+    matrix: ValuationMatrix
+    allocation: Allocation
+    source: np.ndarray = field(init=False)
+    order: np.ndarray = field(init=False)
     winning: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        source = _int64_array(self.source, "valuations", ValuationMatrix._check)
-        n = source.shape[0]
-        order = _permutation(self.order, "order", n)
-        winning = _int64_array(source[order, np.arange(n)], "winning valuations")
-        for name, arr in (("source", source), ("order", order), ("winning", winning)):
+        v, a = self.matrix, self.allocation
+        if not (isinstance(v, ValuationMatrix) and isinstance(a, Allocation)):
+            raise TypeError("a view takes a ValuationMatrix and an Allocation, got "
+                            f"{type(v).__name__} and {type(a).__name__}")
+        if a.n != v.n:
+            raise ValueError(f"allocation size {a.n} does not match matrix size {v.n}")
+        # The inverse permutation: order[k] is the consumer who won item k.
+        order = np.empty(v.n, dtype=np.int64)
+        order[a.assignment] = np.arange(v.n)
+        winning = v.values[order, np.arange(v.n)]
+        # The matrix's values are read-only already.
+        for name, arr in (("source", v.values), ("order", order), ("winning", winning)):
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return self.order.shape[0]
+        return self.matrix.n
 
 
 def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:
@@ -234,9 +233,7 @@ def reorder(v: ValuationMatrix, a: Allocation) -> ReorderedValuation:
     permutation matrix.  The winning valuations of the result sum to the
     allocation weight.
     """
-    if a.n != v.n:
-        raise ValueError(f"allocation size {a.n} does not match matrix size {v.n}")
-    return ReorderedValuation(v.values, a.item_to_consumer())
+    return ReorderedValuation(v, a)
 
 
 def build_gap_matrix(vp: ReorderedValuation) -> ReorderedValuation:

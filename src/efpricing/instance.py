@@ -28,12 +28,13 @@ folded into their number in three multiply-shift steps; a token of
 more than eight digits adds the words before it.  What the block
 reader refuses (a blank line, a sign, a ragged row, a token of more
 than 19 digits, an entry above the bound, any other character) the
-same generator reads once more, whole, by the per-token loop, and the
-blocks start over at row 0.  The loop is the only place that words a
-:class:`ParseError`, and it also accepts what ``int()`` accepts but
-the block reader does not (``1_000``, non-ASCII digits, a zero-padded
-token of 20 digits), so both readers give the same values.  A file
-that is not UTF-8 raises :class:`ParseError` too.
+same generator reads once more, whole, by the per-token loop, and
+yields from it the rows not yet yielded, so each row comes once.  The
+loop is the only place that words a :class:`ParseError`, and it also
+accepts what ``int()`` accepts but the block reader does not
+(``1_000``, non-ASCII digits, a zero-padded token of 20 digits), so
+both readers give the same values.  A file that is not UTF-8 raises
+:class:`ParseError` too.
 
 :func:`serialize` and :func:`write_instance` write the text in blocks
 of entries, a 64-bit word per entry (more when the matrix maximum has
@@ -334,10 +335,11 @@ def stream_instance(path) -> tuple[int, Iterator[tuple[int, np.ndarray, np.ndarr
     buffer, which each block hands over as its rows and its scratch
     both: the next block overwrites it.  Where the block reader refuses
     the file, partway or at its header, the token loop reads the whole
-    text, raising its :class:`ParseError`, and the blocks start over at
-    row 0, with one block: the matrix it returns.  n, read when this is
-    called, is the same either way.  Entries lie in
-    0..max_entry_for(n), the bounds both readers enforce.
+    text, raising its :class:`ParseError`, and one last block holds the
+    rows not yet yielded, from the matrix it returns.  So each block
+    starts where the one before it ended, and every row comes exactly
+    once.  n, read when this is called, is the same either way.
+    Entries lie in 0..max_entry_for(n), the bounds both readers enforce.
     """
     blocks = _instance_blocks(path, None, whole=False)
     return next(blocks), blocks
@@ -361,9 +363,10 @@ def _instance_blocks(path, text: str | None, whole: bool):
     file instead, or in a lone carriage return), and nothing after them;
     no token has more than 19 digits.  At the first block that is not
     plain, and at the last one if anything follows it, the token loop
-    reads the whole text, raising its :class:`ParseError`, and its
-    matrix is the one block left, at row 0 again.  n comes first either
-    way.
+    reads the whole text, raising its :class:`ParseError`, and the rows
+    of its matrix not yet yielded, from that block's first row on, are
+    the one block left (with whole, the matrix itself).  n comes first
+    either way.
     """
     # A file is read through a buffer of about half a block's bytes: the
     # default 8 KiB costs a read call for every three rows when n = 400.
@@ -393,8 +396,11 @@ def _instance_blocks(path, text: str | None, whole: bool):
             del buffer, rows
     values = _parse_tokens(text if path is None else _read_text(path))
     if n is None:
+        lo = 0
         yield len(values)
-    yield 0, values, values
+    elif lo:
+        values = values[lo:]
+    yield lo, values, values
 
 
 def _plain_header(lines: Iterator[bytes], size: int) -> int | None:

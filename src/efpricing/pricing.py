@@ -66,9 +66,10 @@ least doubles each time, and there are O(log max y) such choices.
 max(y) itself is read only when it may have passed B: a sweep raises
 it by at most the largest gap G, so the last value read plus G per
 sweep since bounds it, and while that bound is at most B the arcs stay.
-With gap entries in -M..M, M = ``max_entry_for(n)`` (the view holds
-its source to entries in 0..M), and utilities in
-0..(n - 1) * M, every slack lies in -M..n * M, within int64.  In the
+With gap entries in -M..M, M = ``max_entry_for(n)`` (the view's
+source is the values of a :class:`~efpricing.core.ValuationMatrix`,
+entries in 0..M), and utilities in 0..(n - 1) * M, every slack lies
+in -M..n * M, within int64.  In the
 worst case every arc stays kept, and a sweep costs O(n^2) as the dense
 one does, with a larger constant; the O(n^3) bound stands.
 

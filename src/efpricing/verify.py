@@ -16,8 +16,9 @@ lists, grouped by item, and searched item by item in Python, in
 O(n + arcs) steps.  Otherwise (tie-heavy markets have dozens per
 consumer) the search runs one level at a time on the boolean matrix,
 a few numpy calls per level.  :func:`minimality_certificate` runs the
-same pass on the prices of a utility vector.  The small-instance
-revenue oracle lives in :mod:`efpricing.oracles`.
+same check on the view's matrix and allocation, at the prices of a
+utility vector.  The small-instance revenue oracle lives in
+:mod:`efpricing.oracles`.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ def check_envy_free(v, a: Allocation, p: PriceVector) -> EnvyReport:
     v is a :class:`ValuationMatrix`, or the rows of one in blocks
     (first row, rows, scratch), as ``row_blocks`` and
     :func:`~efpricing.instance.stream_instance` yield them, with entries
-    in 0..max_entry_for(n).  A block that starts at row 0 again starts
-    the pass over: a stream does so when its reader hands the file to
-    the token loop partway.
+    in 0..max_entry_for(n).  Each block must start where the one before
+    it ended, the first at row 0, and the last must end at row n, or
+    ValueError is raised: every row is read exactly once, in order.
 
     A consumer may be indifferent between several items; only strict
     improvements count as envy.  Consumers whose assigned utility is
@@ -95,19 +96,15 @@ def check_envy_free(v, a: Allocation, p: PriceVector) -> EnvyReport:
 def minimality_certificate(u: ReorderedValuation, y: UtilityVector) -> bool:
     """Check that a stable utility vector cannot be lowered anywhere.
 
-    y is the utility vector of the prices winning - y, with item k sold
-    to its winner, the consumer of source row order[k].  Stability,
-    y[j] >= y[k] + gaps[j][k], is envy-freeness of those prices, and
-    every entry is held up by a chain of tight arcs that ends at a zero
-    entry exactly when no price can rise.  Returns False as well if the
-    vector is not stable at all.
+    y is the utility vector of the prices winning - y, with the view's
+    allocation.  Stability, y[j] >= y[k] + gaps[j][k], is envy-freeness
+    of those prices, and every entry is held up by a chain of tight arcs
+    that ends at a zero entry exactly when no price can rise.  Returns
+    False as well if the vector is not stable at all.
     """
-    item_of = np.empty(u.n, dtype=np.int64)
-    item_of[u.order] = np.arange(u.n)
-    # winning - y would broadcast a y of another length; such a y goes to
-    # _certify as it is, whose sizes check rejects it.
-    prices = u.winning - y.y if y.y.shape == u.winning.shape else y.y
-    report = _certify(row_blocks(u.source), u.n, item_of, prices)
+    # winning - y would broadcast a y of another length.
+    _check_sizes(u.n, u.allocation.assignment, y.y)
+    report = check_envy_free(u.matrix, u.allocation, PriceVector(u.winning - y.y))
     return report.envy_free and not report.raisable
 
 
@@ -140,8 +137,9 @@ def _certify(blocks, n: int, assignment: np.ndarray, prices: np.ndarray) -> Envy
     for lo, rows, out in blocks:
         if rows.shape[1] != n:
             _check_sizes(rows.shape[1], assignment, prices)
-        if lo == 0:
-            violations.clear()
+        if lo != hi or hi + len(rows) > n:
+            raise ValueError(f"rows {lo}..{lo + len(rows) - 1} do not follow rows 0..{hi - 1} "
+                             f"of {n}")
         hi = lo + len(rows)
         if out.dtype == prices.dtype:
             utilities = np.subtract(rows, prices, out=out)

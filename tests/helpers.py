@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from efpricing import (Allocation, EnvyReport, InstanceTooLargeError, ParseError, PriceVector,
-                       ReorderedValuation, ValuationMatrix, read_instance, read_solution)
+                       ValuationMatrix, read_instance, read_solution, reorder)
 from efpricing import core, instance
 from efpricing.core import INT64_MAX, INT64_MIN
 from efpricing.matching import _reduce_columns, _reduce_rows
@@ -24,12 +24,12 @@ def random_matrix(rng, n, hi):
 def explicit_gaps(rows):
     """A gap matrix given entry by entry, its diagonal zero, as the identity view.
 
-    The view's source must lie in 0..max_entry_for(n), so each column is
+    A valuation matrix lies in 0..max_entry_for(n), so each column is
     shifted by its minimum; its winning valuation moves with it, and the
     gaps stay the same.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    return ReorderedValuation(source=rows - rows.min(axis=0), order=np.arange(len(rows)))
+    g = np.asarray(rows, dtype=np.int64)
+    return reorder(ValuationMatrix(g - g.min(axis=0)), Allocation(np.arange(len(g))))
 
 
 def reordered_values(u):

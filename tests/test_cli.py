@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import efpricing
-from efpricing import SolutionRecord, generate, read_solution, serialize, solve_assignment
+from efpricing import SolutionRecord, generate, read_solution, serialize
 from efpricing import cli, core
 from efpricing.cli import CSV_HEADER, main, student_t_quantile
 
@@ -245,21 +245,36 @@ class TestVerify:
     def test_each_allocation_checks_its_permutation_once(
         self, instance_2x2, tmp_path, monkeypatch, capsys
     ):
+        # The view takes the checked allocation: it checks no order of its own.
         sol = tmp_path / "sol.json"
-        assert run_cli("solve", str(instance_2x2), "--out", str(sol)) == 0
         checked = []
         permutation = core._permutation
 
-        def counted(values, what, n=None):
+        def counted(values, what):
             checked.append(what)
-            return permutation(values, what, n)
+            return permutation(values, what)
 
         monkeypatch.setattr(core, "_permutation", counted)
-        solve_assignment(generate(30, 1))
+        assert run_cli("solve", str(instance_2x2), "--out", str(sol)) == 0
         assert checked == ["assignment"]
         checked.clear()
         assert run_cli("verify", str(instance_2x2), str(sol)) == 0
         assert checked == ["assignment"]
+
+    def test_one_solve_checks_its_matrix_once(self, tmp_path, monkeypatch, capsys):
+        # The matrix is checked when it is read, and the view takes it as it is.
+        path = tmp_path / "m.txt"
+        path.write_text(serialize(generate(30, 1)))
+        checked = []
+        check = core.ValuationMatrix._check
+
+        def counted(arr):
+            checked.append(arr.shape)
+            return check(arr)
+
+        monkeypatch.setattr(core.ValuationMatrix, "_check", staticmethod(counted))
+        assert run_cli("solve", str(path)) == 0
+        assert checked == [(30, 30)]
 
     def test_extreme_prices_report_the_exact_gain(self, instance_2x2, tmp_path, capsys):
         sol = tmp_path / "sol.json"
@@ -499,7 +514,8 @@ def verify_files(tmp_path_factory):
 
     The middle and last rows are refused partway, after the first blocks
     have been certified.  A sign on the last row is refused by the block
-    reader but accepted by the token loop, so the stream starts over.
+    reader but accepted by the token loop, which yields the rows not yet
+    certified.
     """
     tmp = tmp_path_factory.mktemp("verify")
     n = VERIFY_N

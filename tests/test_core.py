@@ -10,7 +10,7 @@ from efpricing import (
     build_gap_matrix,
     reorder,
 )
-from efpricing.core import INT64_MIN, max_entry_for
+from efpricing.core import max_entry_for
 
 from helpers import (explicit_gaps, gap_array, permutation_matrix, random_matrix,
                      reordered_values, weight)
@@ -156,37 +156,28 @@ class TestGapMatrixView:
         assert u.order.tolist() == [0, 1] and u.source.min() == 0
         assert gap_array(u).tolist() == gaps
 
-    @pytest.mark.parametrize("source, match", [
-        # Outside 0..M the pricing arithmetic wraps: on the first view, whose
-        # allocation is not optimal, both methods would return prices
-        # [10, 10] without an error, and on the second fail obscurely.
-        ([[INT64_MIN + 5, 0], [0, INT64_MIN + 5]], "nonnegative"),
-        ([[INT64_MIN, 0], [0, INT64_MIN]], "nonnegative"),
-        ([[max_entry_for(2) + 1, 0], [0, 0]], "overflow"),
-    ])
-    def test_refuses_a_source_outside_the_matrix_range(self, source, match):
-        with pytest.raises(ValueError, match=match):
-            ReorderedValuation(source=source, order=[0, 1])
-
-    def test_rejects_an_order_that_is_no_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            ReorderedValuation(source=[[0, 2], [3, 0]], order=[0, 0])
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="length"):
-            ReorderedValuation(source=[[0, 2], [3, 0]], order=[0, 1, 2])
-        with pytest.raises(ValueError, match="square"):
-            ReorderedValuation(source=[[0, 2, 1], [3, 0, 1]], order=[0, 1])
+    @pytest.mark.parametrize("matrix, allocation", [
+        (np.array([[3, 1], [1, 2]]), Allocation([0, 1])),
+        ([[3, 1], [1, 2]], Allocation([0, 1])),
+        (ValuationMatrix([[3, 1], [1, 2]]), np.array([0, 1])),
+        (ValuationMatrix([[3, 1], [1, 2]]), [0, 1]),
+    ], ids=["matrix array", "matrix list", "allocation array", "allocation list"])
+    def test_refuses_an_array_or_a_list_for_either_argument(self, matrix, allocation):
+        # The view checks no values: the matrix and the allocation own
+        # those checks, so it takes nothing else.
+        with pytest.raises(TypeError, match="ValuationMatrix and an Allocation"):
+            ReorderedValuation(matrix, allocation)
+        with pytest.raises(TypeError, match="ValuationMatrix and an Allocation"):
+            reorder(matrix, allocation)
 
 
 @pytest.mark.parametrize("build", [
     lambda v: Allocation([0.7, 1.2]),
     lambda v: Allocation([True, False]),
     lambda v: Allocation(assignment=np.array([1.0, 0.0])),
-    lambda v: ReorderedValuation(source=v.values, order=[0.0, 1.0]),
     lambda v: UtilityVector(y=[1.5, 0.0], iterations_used=0),
     lambda v: PriceVector(p=[2.9, 0.5]),
-], ids=["float assignment", "bool assignment", "float array", "float order", "float utilities",
+], ids=["float assignment", "bool assignment", "float array", "float utilities",
         "float prices"])
 def test_index_arrays_refuse_non_integer_dtypes(build):
     with pytest.raises(TypeError, match="integer"):
@@ -200,11 +191,9 @@ BIG = np.array([2**63, 0], dtype=np.uint64)
 @pytest.mark.parametrize("build", [
     lambda v: ValuationMatrix(BIG[:1].reshape(1, 1)),
     lambda v: Allocation(assignment=BIG),
-    lambda v: ReorderedValuation(source=BIG[[0, 1, 1, 1]].reshape(2, 2), order=[0, 1]),
-    lambda v: ReorderedValuation(source=v.values, order=BIG),
     lambda v: UtilityVector(y=BIG, iterations_used=0),
     lambda v: PriceVector(p=BIG),
-], ids=["valuations", "assignment", "source", "order", "utilities", "prices"])
+], ids=["valuations", "assignment", "utilities", "prices"])
 def test_uint64_entries_above_the_int64_range_are_refused(build):
     with pytest.raises(ValueError, match="int64 range"):
         build(ValuationMatrix([[3, 1], [1, 2]]))
@@ -213,7 +202,7 @@ def test_uint64_entries_above_the_int64_range_are_refused(build):
 @pytest.mark.parametrize("build", [
     lambda: ValuationMatrix([[3, 1], [1, 2]]),
     lambda: Allocation(assignment=[0, 1]),
-    lambda: ReorderedValuation(source=[[3, 1], [1, 2]], order=[1, 0]),
+    lambda: ReorderedValuation(ValuationMatrix([[3, 1], [1, 2]]), Allocation([1, 0])),
     lambda: UtilityVector(y=[2, 0], iterations_used=1),
     lambda: PriceVector(p=[3, 2]),
 ], ids=["valuations", "allocation", "reordered", "utilities", "prices"])

@@ -252,15 +252,13 @@ def read_outcome(tmp_path, text):
 def drain(path):
     """The matrix of stream_instance's blocks of path.
 
-    Each block must start where the one before it ended, or at row 0,
-    which starts the matrix over, as the certificate starts its pass
-    over.  Each block is copied, as the next one may overwrite it.
+    Each block must start where the one before it ended, so that every
+    row comes exactly once, as the certificate requires.  Each block is
+    copied, as the next one may overwrite it.
     """
     n, blocks = stream_instance(path)
     kept = []
     for lo, rows, _ in blocks:
-        if lo == 0:
-            kept.clear()
         assert lo == sum(map(len, kept))
         kept.append(rows.copy())
     values = np.concatenate(kept)
@@ -388,7 +386,7 @@ def test_read_instance_matches_parse_at_block_boundaries(tmp_path, n, fault):
         text = text[:at] + "\r" + text[at + 1 :]
     elif fault == "sign in last row":
         # Refused by the block reader, in the last block, and read by the
-        # token loop: the stream starts over after its first blocks.
+        # token loop: the stream yields the rows its first blocks did not.
         text = replace_row(text, n - 1, "+" + last)
     elif fault == "bound opens the last block":
         r = (n - 1) // rows * rows

@@ -156,8 +156,8 @@ def test_write_instance_holds_a_block_not_a_matrix(n, widest, tmp_path):
 
 
 def identity_view(source):
-    """The view (source, identity), its source array passed as it is."""
-    return ReorderedValuation(source, np.arange(len(source)))
+    """The view of source under the identity allocation."""
+    return ReorderedValuation(ValuationMatrix(source), Allocation(np.arange(len(source))))
 
 
 @pytest.mark.parametrize("wrap, field, arr", [

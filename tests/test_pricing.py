@@ -231,7 +231,7 @@ def test_pricing_refuses_a_second_view_that_is_not_the_first(pricing_fn):
     vp2 = reorder(v2, solve_and_price(v2, []).allocation)
     with pytest.raises(ValueError, match="does not match"):
         pricing_fn(build_gap_matrix(vp1), vp2)
-    twin = ReorderedValuation(vp1.source, vp1.order)
+    twin = ReorderedValuation(vp1.matrix, vp1.allocation)
     with pytest.raises(ValueError, match="does not match"):
         pricing_fn(vp1, twin)
 

@@ -110,6 +110,25 @@ class TestCheckEnvyFree:
                 minimality_certificate(vp, UtilityVector(y=y, iterations_used=0))
 
 
+    @pytest.mark.parametrize("spans", [
+        [(0, 2), (4, 6)],
+        [(0, 4), (2, 6)],
+        [(0, 2), (0, 6)],
+        [(0, 6), (6, 7)],
+    ], ids=["gap", "overlap", "restart", "past the last row"])
+    def test_blocks_must_give_each_row_once_in_order(self, spans):
+        # Consumer 2 envies item 3 at these prices, which a pass that
+        # skipped or redid rows 2 and 3 could miss.
+        values = 10 * np.eye(6, dtype=np.int64)
+        values[2, 3] = 20
+        v, a, p = ValuationMatrix(values), Allocation(np.arange(6)), price_vector([0] * 6)
+        assert check_envy_free(v, a, p).violations == [(2, 3, 10)]
+        rows = np.vstack([values, values])
+        blocks = ((lo, rows[lo:hi], np.empty((hi - lo, 6), dtype=np.int64))
+                  for lo, hi in spans)
+        with pytest.raises(ValueError, match="do not follow"):
+            check_envy_free(blocks, a, p)
+
 class TestBruteForceMaxRevenue:
     def test_worked_examples(self):
         assert brute_force_max_revenue(ValuationMatrix([[5, 4], [1, 2]])) == 5
