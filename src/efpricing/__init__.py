@@ -9,8 +9,8 @@ fixed point; prices are the winning valuations minus those utilities.
 The exhaustive oracles the tests check against are not part of this
 API.  The matching oracle lives with the tests; the revenue oracle lives
 in :mod:`efpricing.oracles`, because the benchmark's checks reach it as
-``efpricing.brute_force_max_revenue``, and so does the oracles' size
-error, ``InstanceTooLargeError``.
+``efpricing.brute_force_max_revenue``.  The oracles' size error,
+``InstanceTooLargeError``, is only in :mod:`efpricing.oracles`.
 """
 
 from .core import (
@@ -71,14 +71,13 @@ __all__ = [
     "__version__",
 ]
 
-_ORACLES = {"InstanceTooLargeError", "brute_force_max_revenue"}
+_ORACLES = {"brute_force_max_revenue"}
 
 
 def __getattr__(name):
     # The benchmark's own checks, written before the oracles moved, still
-    # reach the revenue oracle as an attribute of the package, and the
-    # tests reach the oracles' error the same way; their module is
-    # loaded only when one of them is asked for.
+    # reach the revenue oracle as an attribute of the package; its module
+    # is loaded only when it is asked for.
     if name in _ORACLES:
         from . import oracles
 

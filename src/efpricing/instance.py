@@ -25,8 +25,11 @@ the part's bytes are checked by counting each kind, every token's last
 digit is found in one pass over the digit mask, the eight bytes that
 end there are gathered as one 64-bit word, and the word's digits are
 folded into their number in three multiply-shift steps; a token of
-more than eight digits adds the words before it.  What the block
-reader refuses (a blank line, a sign, a ragged row, a token of more
+more than eight digits adds the words before it.  The header is read
+by one pattern, ``_HEADER``: n in at most 19 ASCII digits between
+spaces and tabs, so a header zero-padded past 19 digits goes to the
+token loop, as a longer token does in a row.  What the block reader
+refuses (a blank line, a sign, a ragged row, a token of more
 than 19 digits, an entry above the bound, any other character) the
 same generator reads once more, whole, by the per-token loop, and
 yields from it the rows not yet yielded, so each row comes once.  The
@@ -57,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,8 +152,10 @@ _READ_BLOCK = _BLOCK // 2
 #: no matrix, so it can spend 0.4 MiB on a read; each read pays about 60
 #: us of numpy calls, and a 400-row file takes 10 reads instead of 20.
 _STREAM_BLOCK = 2 * _READ_BLOCK
-#: The bytes a plain header may hold, besides a carriage return at its end.
-_PLAIN = b"0123456789 \t\n"
+#: A plain header line: n in at most 19 ASCII digits, spaces and tabs
+#: around it, and a carriage return only before the newline, since
+#: splitlines() ends a line at any carriage return.
+_HEADER = re.compile(rb"[ \t]*([0-9]{1,19})[ \t]*\r?\n?")
 #: Put before each block's rows, so that the eight bytes that end at any
 #: token's last digit, and the sixteen before them, lie in the block.
 _FRONT = b" " * 8
@@ -357,11 +363,11 @@ def _instance_blocks(path, text: str | None, whole: bool):
     rows of :func:`stream_instance`'s blocks, read in parts of about
     ``_STREAM_BLOCK`` entries, and the next block overwrites it.
 
-    Plain means: a header, then exactly n rows of n entries within the
-    bound, each line of digits, spaces and tabs, ended by a newline or a
-    carriage return and newline (the last line may end at the end of the
-    file instead, or in a lone carriage return), and nothing after them;
-    no token has more than 19 digits.  At the first block that is not
+    Plain means: a header that ``_HEADER`` matches, then exactly n rows
+    of n entries within the bound, each line of digits, spaces and tabs,
+    ended by a newline or a carriage return and newline (the last line
+    may end at the end of the file instead, or in a lone carriage
+    return), and nothing after them; no token has more than 19 digits.  At the first block that is not
     plain, and at the last one if anything follows it, the token loop
     reads the whole text, raising its :class:`ParseError`, and the rows
     of its matrix not yet yielded, from that block's first row on, are
@@ -372,6 +378,7 @@ def _instance_blocks(path, text: str | None, whole: bool):
     # default 8 KiB costs a read call for every three rows when n = 400.
     lines = (_encoded_lines(text) if path is None
              else open(path, "rb", buffering=4 * _READ_BLOCK))
+    lo = 0
     with contextlib.closing(lines):
         n = _plain_header(lines, len(text) if path is None else os.fstat(lines.fileno()).st_size)
         if n is not None:
@@ -382,41 +389,38 @@ def _instance_blocks(path, text: str | None, whole: bool):
             bound, step = max_entry_for(n), max(1, part // n)
             for lo in range(0, n, height):
                 rows = buffer[: n - lo] if lo + height > n else buffer
-                for start in range(0, len(rows), step):
-                    if not _read_plain_rows(lines, rows[start : start + step], bound):
-                        break
-                else:
-                    if lo + height < n or not next(lines, b""):
-                        yield lo, rows, rows
-                        continue
-                break
+                plain = all(_read_plain_rows(lines, rows[start : start + step], bound)
+                            for start in range(0, len(rows), step))
+                if not plain or lo + height >= n and next(lines, b""):
+                    break
+                yield lo, rows, rows
             else:
                 return
             # Freed before the token loop reads the text.
             del buffer, rows
     values = _parse_tokens(text if path is None else _read_text(path))
     if n is None:
-        lo = 0
         yield len(values)
-    elif lo:
+    if lo:
         values = values[lo:]
     yield lo, values, values
 
 
 def _plain_header(lines: Iterator[bytes], size: int) -> int | None:
-    """n from a plain header line, or None where the token loop must decide.
+    """n from a header line that ``_HEADER`` matches, or None where the
+    token loop must decide.
 
-    The matrix is allocated only once the file is large enough to hold
+    A header zero-padded past 19 digits does not match, and the token
+    loop reads it as ``int()`` does: the same n, or the same error.  The
+    matrix is allocated only once the file is large enough to hold
     it, at two bytes or more per entry, so a wrong header cannot ask for
     more than four times the file's size.
     """
     header = next(lines, b"")
-    if not _is_plain_line(header):
+    match = _HEADER.fullmatch(header)
+    if match is None:
         return None
-    try:
-        n = int(header)
-    except ValueError:
-        return None
+    n = int(match[1])
     if n < 1 or size < len(header) + 2 * n * n - 1:
         return None
     return n
@@ -521,17 +525,6 @@ def _fold_digits(w: np.ndarray) -> np.ndarray:
     return full
 
 
-def _is_plain_line(line: bytes) -> bool:
-    # The header: splitlines() ends it at any carriage return, so one may
-    # only end the line.
-    rest = line.translate(None, _PLAIN)
-    return (
-        bool(line)
-        and not line.isspace()
-        and (not rest or rest == b"\r" and line.endswith((b"\r\n", b"\r")))
-    )
-
-
 @dataclass(frozen=True)
 class SolutionRecord:
     """A solved instance: who gets what, at which prices."""
@@ -543,14 +536,7 @@ class SolutionRecord:
     iterations_used: int
 
     def to_json(self) -> str:
-        doc = {
-            "assignment": list(self.assignment),
-            "iterations_used": self.iterations_used,
-            "n": self.n,
-            "prices": list(self.prices),
-            "revenue": self.revenue,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SolutionRecord":

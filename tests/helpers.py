@@ -7,10 +7,11 @@ import sys
 import numpy as np
 from scipy.optimize import linprog
 
-from efpricing import (Allocation, EnvyReport, InstanceTooLargeError, ParseError, PriceVector,
-                       ValuationMatrix, read_instance, read_solution, reorder)
+from efpricing import (Allocation, EnvyReport, ParseError, PriceVector, ValuationMatrix,
+                       read_instance, read_solution, reorder)
 from efpricing import core, instance
 from efpricing.core import INT64_MAX, INT64_MIN
+from efpricing.oracles import InstanceTooLargeError
 from efpricing.matching import _reduce_columns, _reduce_rows
 
 #: Hard guard for the factorial assignment oracle.
@@ -327,3 +328,26 @@ def _reference_verify(instance, solution):
         return 1
     print(f"ok: envy-free and revenue-maximal, revenue {record.revenue}")
     return 0
+
+
+def reference_plain_header(lines, size):
+    """``instance._plain_header`` as a byte scan and ``int()``, before the
+    header became one pattern: n from a plain header line, or None where
+    the token loop must decide."""
+    header = next(lines, b"")
+    # The header: splitlines() ends it at any carriage return, so one may
+    # only end the line.
+    rest = header.translate(None, b"0123456789 \t\n")
+    if not (
+        bool(header)
+        and not header.isspace()
+        and (not rest or rest == b"\r" and header.endswith((b"\r\n", b"\r")))
+    ):
+        return None
+    try:
+        n = int(header)
+    except ValueError:
+        return None
+    if n < 1 or size < len(header) + 2 * n * n - 1:
+        return None
+    return n

@@ -9,10 +9,11 @@ the same bytes.  The file readers, ``read_instance`` and
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from efpricing import (
@@ -28,7 +29,7 @@ from efpricing import instance
 from efpricing.core import max_entry_for
 from efpricing.instance import stream_instance
 
-from helpers import blocks_of
+from helpers import blocks_of, reference_plain_header
 
 
 def reference_parse(text):
@@ -294,6 +295,30 @@ def replace_row(text, r, row):
     return "\n".join(lines)
 
 
+#: The pieces a header line is drawn from: ASCII digits, spaces and tabs,
+#: their neighbours that int() or splitlines() read in their own ways, and
+#: a run of zeros, so that headers zero-padded to 19 digits come up.
+HEADER_PIECES = [*(bytes([b]) for b in b"0123456789 \t\r+_\x0b\x0ca"), "٣".encode(), b"0" * 8]
+
+
+@st.composite
+def header_lines(draw):
+    """A header line as a binary file yields it: at most one newline, at its end."""
+    line = b"".join(draw(st.lists(st.sampled_from(HEADER_PIECES), max_size=24)))
+    return line + draw(st.sampled_from([b"", b"\n"]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(header_lines(), st.integers(0, 10**5))
+@example(b"0" * 18 + b"2\n", 100)
+@example(b"2 \r \n", 100)
+def test_the_header_pattern_reads_what_the_byte_scan_read(line, size):
+    # Only a header zero-padded past 19 digits takes another path: the
+    # token loop reads it, and the fixed cases below check what it gives.
+    assume(all(len(run) <= 19 for run in re.findall(rb"[0-9]+", line)))
+    assert instance._plain_header(iter([line]), size) == reference_plain_header(iter([line]), size)
+
+
 @pytest.mark.parametrize("text", [
     "2\n1\x0b2\n3 4\n",
     "2\n1 2\x0c3 4\n",
@@ -342,6 +367,22 @@ def replace_row(text, r, row):
     "2\n 1 \t  2\t\n3\t \t4  \n",
     # Each byte next to the plain ones, and two beyond ASCII.
     *[f"2\n1 {c}2\n3 4\n" for c in "/:+-,_\x0b\x0c\x80\xa0"],
+    # Headers: the pattern's edges, and zero-padded past 19 digits, which
+    # the token loop reads.
+    "  000200 \r\n" + plain_text(200).split("\n", 1)[1],
+    "2\r",
+    "2\r \n1 2\n3 4\n",
+    "2\r\r\n1 2\n3 4\n",
+    "+2\n1 2\n3 4\n",
+    "2 2\n1 2\n3 4\n",
+    "\n1 2\n3 4\n",
+    "   \n1 2\n3 4\n",
+    "9" * 19 + "\n1 2\n3 4\n",
+    "9" * 20 + "\n1 2\n3 4\n",
+    "0" * 20 + "2\n1 2\n3 4\n",
+    "0" * 4999 + "2\n1 2\n3 4\n",
+    "2\x0c\n1 2\n3 4\n",
+    "٢\n1 2\n3 4\n",
 ])
 @pytest.mark.filterwarnings("error")
 def test_read_instance_matches_parse_on_fixed_cases(tmp_path, text):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from efpricing import (
     Allocation,
-    InstanceTooLargeError,
     PriceVector,
     UtilityVector,
     ValuationMatrix,
@@ -20,7 +19,7 @@ from efpricing import verify, write_instance
 from efpricing.cli import solve_and_price
 from efpricing.core import INT64_MAX, max_entry_for
 from efpricing.instance import stream_instance
-from efpricing.oracles import brute_force_max_revenue
+from efpricing.oracles import InstanceTooLargeError, brute_force_max_revenue
 
 from helpers import (blocks_of, chain, random_matrix, reference_check_envy_free,
                      reference_minimality)
