@@ -19,25 +19,26 @@ one buffer, so it never holds the whole text or its list of lines.
 read about ``_READ_BLOCK`` entries at a time, which is the matrix they
 return; :func:`stream_instance` one reused buffer of a few rows, read
 in larger parts, whose rows ``verify`` certifies as they come.  A file
-is read as it streams from disk, and :func:`parse` hands over its ASCII
-text one encoded line at a time.  Each part is read a word at a time:
-the part's bytes are checked by counting each kind, every token's last
-digit is found in one pass over the digit mask, the eight bytes that
-end there are gathered as one 64-bit word, and the word's digits are
-folded into their number in three multiply-shift steps; a token of
-more than eight digits adds the words before it.  The header is read
-by one pattern, ``_HEADER``: n in at most 19 ASCII digits between
-spaces and tabs, so a header zero-padded past 19 digits goes to the
-token loop, as a longer token does in a row.  What the block reader
-refuses (a blank line, a sign, a ragged row, a token of more
-than 19 digits, an entry above the bound, any other character) the
-same generator reads once more, whole, by the per-token loop, and
-yields from it the rows not yet yielded, so each row comes once.  The
-loop is the only place that words a :class:`ParseError`, and it also
-accepts what ``int()`` accepts but the block reader does not
-(``1_000``, non-ASCII digits, a zero-padded token of 20 digits), so
-both readers give the same values.  A file that is not UTF-8 raises
-:class:`ParseError` too.
+is read as it streams from disk, and :func:`parse` hands over its text,
+ASCII or not, one encoded line at a time.  A path that is not a regular
+file, such as a pipe, is read once, whole, and taken as a text.  Each
+part is read a word at a time: the part's bytes are checked by counting
+each kind, every token's last digit is found in one pass over the digit
+mask, the eight bytes that end there are gathered as one 64-bit word,
+and the word's digits are folded into their number in three
+multiply-shift steps; a token of more than eight digits adds the words
+before it.  The header is read by one pattern, ``_HEADER``: n in at
+most 19 ASCII digits between spaces and tabs, so a header zero-padded
+past 19 digits goes to the token loop, as a longer token does in a
+row.  What the block reader refuses (a blank line, a sign, a ragged
+row, a token of more than 19 digits, an entry above the bound, any
+other character, non-ASCII ones included) the same generator reads
+once more, whole, by the per-token loop, and yields from it the rows
+not yet yielded, so each row comes once.  The loop is the only place
+that words a :class:`ParseError`, and it also accepts what ``int()``
+accepts but the block reader does not (``1_000``, non-ASCII digits, a
+zero-padded token of 20 digits), so both readers give the same values.
+A file that is not UTF-8 raises :class:`ParseError` too.
 
 :func:`serialize` and :func:`write_instance` write the text in blocks
 of entries, a 64-bit word per entry (more when the matrix maximum has
@@ -62,7 +63,7 @@ import json
 import os
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -263,22 +264,26 @@ def _render_block(x: np.ndarray, words: int, newline: int, n: int) -> bytes:
 
 
 def parse(text: str) -> ValuationMatrix:
-    """Parse the instance text format, rejecting anything malformed."""
-    # Only ASCII can be plain, and a lone surrogate cannot even be encoded.
-    if not text.isascii():
-        return ValuationMatrix(_parse_tokens(text))
+    """Parse the instance text format, rejecting anything malformed.
+
+    The text takes the path a file takes: the block reader reads it a
+    line at a time, and refuses the first block that holds a character
+    other than ASCII digits, spaces, tabs and line ends, which sends the
+    whole text to the token loop.
+    """
     _, (_, values, _) = _instance_blocks(None, text, whole=True)
     return ValuationMatrix(values)
 
 
 def _encoded_lines(text: str) -> Iterator[bytes]:
-    """The lines of an ASCII text, each with its newline, encoded one at a
-    time as a binary file yields them, so that the text is never copied
-    whole."""
+    """The lines of a text, each with its newline, encoded one at a time
+    as a binary file yields them, so that the text is never copied whole.
+
+    A lone surrogate is encoded too, as bytes that are not plain."""
     start = 0
     while start < len(text):
         end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end].encode()
+        yield text[start:end].encode("utf-8", "surrogatepass")
         start = end
 
 
@@ -354,8 +359,10 @@ def stream_instance(path) -> tuple[int, Iterator[tuple[int, np.ndarray, np.ndarr
 def _instance_blocks(path, text: str | None, whole: bool):
     """Yield n, then an instance's rows in blocks (first row, rows, rows).
 
-    The instance is the file at path, or the ASCII text when path is
-    None.  A plain instance is read into one buffer, whose rows each
+    The instance is the file at path, or the text when path is None.  A
+    path that is not a regular file, such as a pipe, has no size to
+    check and cannot be opened twice, so it is read once, whole, and
+    taken as a text.  A plain instance is read into one buffer, whose rows each
     block hands over as its rows and its scratch both.  With whole, the
     buffer holds all n rows, read in parts of about ``_READ_BLOCK``
     entries, and is itself the one block, so that
@@ -374,6 +381,8 @@ def _instance_blocks(path, text: str | None, whole: bool):
     the one block left (with whole, the matrix itself).  n comes first
     either way.
     """
+    if path is not None and not os.path.isfile(path):
+        path, text = None, _read_text(path)
     # A file is read through a buffer of about half a block's bytes: the
     # default 8 KiB costs a read call for every three rows when n = 400.
     lines = (_encoded_lines(text) if path is None
@@ -548,18 +557,17 @@ class SolutionRecord:
         whose length is not n, or a negative iterations_used, and one
         nested too deeply to read.
         """
+        # Annotations stay strings here (postponed evaluation), so the
+        # list fields are told by their text.
+        lists = [f.name for f in fields(cls) if f.type == "list[int]"]
         try:
             doc = json.loads(text)
-            record = cls(
-                n=_integer("n", doc["n"]),
-                assignment=_integers("assignment", doc["assignment"]),
-                prices=_integers("prices", doc["prices"]),
-                revenue=_integer("revenue", doc["revenue"]),
-                iterations_used=_integer("iterations_used", doc["iterations_used"]),
-            )
+            record = cls(**{
+                f.name: (_integers if f.name in lists else _integer)(f.name, doc[f.name])
+                for f in fields(cls)})
             if record.n < 1:
                 raise ValueError(f"n = {record.n} is below 1")
-            for field in ("assignment", "prices"):
+            for field in lists:
                 size = len(getattr(record, field))
                 if size != record.n:
                     raise ValueError(f"{field} has {size} entries, but n = {record.n}")

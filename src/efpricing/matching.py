@@ -79,8 +79,6 @@ def solve_assignment(v: ValuationMatrix) -> MatchingResult:
     free = [i for i in range(n) if col_of_row[i] < 0]
     row = np.empty(n, dtype=np.int64)  # h - values[i] for the row in hand
     for _ in range(2):  # two passes, as Jonker and Volgenant run it
-        if not free:
-            break
         free = _reduce_rows(values, h, row_of_col, col_of_row, free, row)
     for root in free:
         _augment(values, h, row_of_col, col_of_row, root, row)
@@ -236,14 +234,11 @@ def _augment(values, h, row_of_col, col_of_row, root: int, cand) -> None:
     # chosen row rows[t] leaves is scanned[t - 1]: rows[:t] reached it.
     reached = len(rows)
     length = mu
-    if reached > 1:
-        row_index = np.array(rows, dtype=np.int64)
-        row_offset = np.array(offsets, dtype=np.int64)
+    row_index = np.array(rows, dtype=np.int64)
+    row_offset = np.array(offsets, dtype=np.int64)
     while True:
-        t = 0
-        if reached > 1:
-            hit = h.item(j) - values[row_index[:reached], j] - row_offset[:reached] == length
-            t = int(hit.argmax())
+        hit = h.item(j) - values[row_index[:reached], j] - row_offset[:reached] == length
+        t = int(hit.argmax())
         i = rows[t]
         row_of_col[j] = i
         col_of_row[i], j = j, col_of_row[i]
@@ -251,5 +246,4 @@ def _augment(values, h, row_of_col, col_of_row, root: int, cand) -> None:
             break
         reached = t
         length = lengths[t - 1]
-    if scanned:
-        h[scanned] += mu - np.array(lengths, dtype=np.int64)
+    h[scanned] += mu - np.array(lengths, dtype=np.int64)

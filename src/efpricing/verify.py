@@ -9,16 +9,18 @@ straight from an instance file (:func:`~efpricing.instance.stream_instance`),
 each certified as soon as it is decoded, so that ``verify`` never holds
 the matrix.  For envy-free prices, a reverse search along the tight
 arcs from the zero-utility consumers finds the consumers whose prices
-could still rise.  The arcs are counted first.  When they are few, at
+could still rise.  Where every consumer has zero utility, as on
+tie-heavy markets, no consumer is left to reach and nothing is
+searched.  Else the arcs are counted first.  When they are few, at
 most ``FEW_ARCS`` per consumer (random and chain markets have two:
 each consumer's own item and one more), they are gathered as
 lists, grouped by item, and searched item by item in Python, in
-O(n + arcs) steps.  Otherwise (tie-heavy markets have dozens per
-consumer) the search runs one level at a time on the boolean matrix,
-a few numpy calls per level.  :func:`minimality_certificate` runs the
-same check on the view's matrix and allocation, at the prices of a
-utility vector.  The small-instance revenue oracle lives in
-:mod:`efpricing.oracles`.
+O(n + arcs) steps.  A dense market that still has consumers to reach
+(a block of consumers tied over many items, say) is searched one level
+at a time on the boolean matrix, a few numpy calls per level.
+:func:`minimality_certificate` runs the same check on the view's matrix
+and allocation, at the prices of a utility vector.  The small-instance
+revenue oracle lives in :mod:`efpricing.oracles`.
 """
 
 from __future__ import annotations
@@ -36,10 +38,12 @@ from .pricing import PriceVector, UtilityVector
 #: and chain markets have two per consumer (798 on random-400, 799 and
 #: 999 on chain-400 and chain-500), and there the level search pays a
 #: few numpy calls for each of up to n levels.  Tie-heavy markets have
-#: about 25 (4,925 to 5,035 on entries 0..7 at n = 200), and a few
-#: levels cost a tenth of a Python step per arc.  On generated markets
-#: at n = 400 the two searches cost the same at 2.5 to 4 arcs per
-#: consumer.
+#: dozens (about 25 on entries 0..7 at n = 200) but skip both searches,
+#: since every consumer there has zero utility.  A dense market that
+#: still has consumers to reach, such as a block of consumers tied over
+#: half the items, takes a few levels, each costing a tenth of a Python
+#: step per arc.  On generated markets at n = 400 the two searches cost
+#: the same at 2.5 to 4 arcs per consumer.
 FEW_ARCS = 3
 
 
@@ -160,13 +164,16 @@ def _certify(blocks, n: int, assignment: np.ndarray, prices: np.ndarray) -> Envy
     negative = np.flatnonzero(own < 0).tolist()
     if violations or negative:
         return EnvyReport(violations, negative)
-    # Counted before any arc is gathered, so that a tie-heavy market
-    # never lists its n * n arcs.
+    # Where every consumer is at zero utility, as on tie-heavy markets,
+    # there is no one left to reach, and no search.
+    unreached = own != 0
+    if not unreached.any():
+        return EnvyReport()
+    # Counted before any arc is gathered, so that a dense market never
+    # lists its n * n arcs.
     if np.count_nonzero(tight) <= FEW_ARCS * n:
-        unreached = _search_arcs(tight, own != 0, assignment)
-    else:
-        unreached = _search_levels(tight, own != 0, assignment)
-    return EnvyReport(raisable=unreached)
+        return EnvyReport(raisable=_search_arcs(tight, unreached, assignment))
+    return EnvyReport(raisable=_search_levels(tight, unreached, assignment))
 
 
 def _search_arcs(tight: np.ndarray, unreached: np.ndarray, assignment: np.ndarray

@@ -485,6 +485,31 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def run_piped(text, *argv):
+    """Run the CLI in a fresh process, with text on its stdin, a pipe."""
+    src = str(Path(efpricing.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "efpricing.cli", *argv], input=text,
+                          env=env, capture_output=True, text=True)
+
+
+def test_an_instance_can_come_from_a_pipe(tmp_path):
+    # A pipe has no size, and its bytes are gone once read: it is read
+    # once, whole, as a text, and gives the file's record and answers.
+    path = tmp_path / "m.txt"
+    efpricing.write_instance(generate(30, 5), path)
+    assert run_cli("solve", str(path), "--out", str(tmp_path / "file.json")) == 0
+    piped = run_piped(path.read_text(), "solve", "/dev/stdin",
+                      "--out", str(tmp_path / "pipe.json"))
+    assert piped.returncode == 0, piped.stderr
+    assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+    checked = run_piped(path.read_text(), "verify", "/dev/stdin", str(tmp_path / "file.json"))
+    assert checked.returncode == 0 and checked.stdout.startswith("ok: "), checked.stderr
+    bad = run_piped("2\n1 x\n3 4\n", "solve", "/dev/stdin")
+    assert (bad.returncode, bad.stdout, bad.stderr) == (
+        2, "", "error: row 0, column 1: non-integer token 'x'\n")
+
+
 def test_oracles_stay_out_of_the_api_but_within_reach():
     # The exhaustive revenue oracle is not exported and not loaded with
     # the CLI, but the package still hands it out by name, for the

@@ -321,22 +321,51 @@ def test_a_relabelled_chain_is_searched_one_item_a_level(cut):
     assert minimality_certificate(vp, utilities) == (cut == 0)
 
 
+def chained(n, c, rows, cols):
+    """Consumer 0, a chain of c consumers after it, and a block of the rest.
+
+    With H = n + 10, consumer 0 values item 0 at 5, chain consumer
+    i = 1..c values item i at H and item i - 1 at H - 1, each block
+    consumer values every block item (c + 1 .. n - 1) at H and item c at
+    H - 1, and every other entry is 0.  At the optimal prices consumer 0
+    alone has zero utility, chain consumer i is held by consumer i - 1
+    alone, and the block by chain consumer c.  A block of n / 2 or more
+    has more than ``FEW_ARCS`` tight arcs per consumer, so the level
+    search takes c levels of one item, then the block's.  rows and cols
+    relabel the market.
+    """
+    h = n + 10
+    values = np.zeros((n, n), dtype=np.int64)
+    values[0, 0] = 5
+    links = np.arange(1, c + 1)
+    values[links, links] = h
+    values[links, links - 1] = h - 1
+    values[c + 1 :, c + 1 :] = h
+    values[c + 1 :, c] = h - 1
+    return values[np.array(rows)][:, np.array(cols)]
+
+
 @st.composite
 def priced_markets(draw):
     """A market, its optimal allocation, and its optimal prices, lowered or not.
 
     Chains hold each consumer by the next one only, so the search takes
     n levels; markets of entries 0..2, and of one entry everywhere, have
-    more than ``FEW_ARCS`` tight arcs per consumer.  Lowering one price
-    breaks envy-freeness where another consumer was tight with that
-    item, and lowering them all leaves no zero-utility consumer.  A
-    price far below zero takes the certificate to Python integers.
+    more than ``FEW_ARCS`` tight arcs per consumer, and chained markets
+    too, with consumers left to reach.  Lowering one price breaks
+    envy-freeness where another consumer was tight with that item, and
+    lowering them all leaves no zero-utility consumer.  A price far
+    below zero takes the certificate to Python integers.
     """
-    family = draw(st.sampled_from(["chain", "ties", "equal"]))
+    family = draw(st.sampled_from(["chain", "ties", "equal", "chained"]))
     n = draw(st.integers(12, 40))
-    if family == "chain":
+    if family in ("chain", "chained"):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        values = chain(n, n, rng.permutation(n), rng.permutation(n))
+        rows, cols = rng.permutation(n), rng.permutation(n)
+        if family == "chain":
+            values = chain(n, n, rows, cols)
+        else:
+            values = chained(n, draw(st.integers(1, n // 2 - 1)), rows, cols)
     elif family == "ties":
         values = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n),
                                min_size=n, max_size=n))
@@ -376,17 +405,22 @@ def test_both_searches_and_the_stream_match_the_reference(market, rows):
             assert report.raisable == expected.raisable
 
 
-@pytest.mark.parametrize("family, search", [
-    ("random", "_search_arcs"),
-    ("chain", "_search_arcs"),
-    ("ties", "_search_levels"),
-])
-def test_the_arcs_are_counted_before_either_search(family, search, monkeypatch):
+@pytest.mark.parametrize("family, searches", [
+    ("random", ["_search_arcs"]),
+    ("chain", ["_search_arcs"]),
+    ("ties", []),
+    ("chained", ["_search_levels"]),
+], ids=["random", "chain", "ties", "chained"])
+def test_the_arcs_are_counted_before_either_search(family, searches, monkeypatch):
     # Random and chain markets keep two tight arcs per consumer, under
-    # the cut-off, and tie-heavy ones about a quarter of the row.
+    # the cut-off, and chained ones half the row in the block.  Tie-heavy
+    # ones keep about a quarter of the row, but every consumer there has
+    # zero utility, so neither search runs.
     n = 200
     if family == "chain":
         values = chain(n, 1, np.arange(n), np.arange(n))
+    elif family == "chained":
+        values = chained(n, n // 2 - 1, np.arange(n), np.arange(n))
     else:
         values = np.array(random_matrix(np.random.default_rng(7), n,
                                         7 if family == "ties" else 10**6).values)
@@ -398,5 +432,44 @@ def test_the_arcs_are_counted_before_either_search(family, search, monkeypatch):
         monkeypatch.setattr(verify, name,
                             lambda *args, name=name, found=found: ran.append(name) or found(*args))
     report = check_envy_free(v, allocation, prices)
-    assert ran == [search]
+    assert ran == searches
     assert report.envy_free and report.raisable == []
+
+
+class ColumnReads(np.ndarray):
+    """A boolean matrix that counts the reads of its columns."""
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.view(np.ndarray)[key]
+
+
+@pytest.mark.parametrize("n, c", [(12, 1), (40, 19), (200, 99)])
+def test_a_chained_market_is_searched_one_chain_item_a_level(n, c, monkeypatch):
+    # The level search reads the frontier's columns once per level: one
+    # chain item per level from consumer 0's item to item c, then the
+    # block's items, which reach no one new.  Lowering the block items'
+    # prices by one cuts the block off from item c: all of it becomes
+    # raisable, and the search stops after item c.
+    rng = np.random.default_rng(n)
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    values = chained(n, c, rows, cols)
+    v = ValuationMatrix(values)
+    allocation, optimal = efpm(v)
+    reads = []
+
+    def counted(tight, unreached, assignment, found=verify._search_levels):
+        tight = tight.view(ColumnReads)
+        tight.reads = 0
+        result = found(tight, unreached, assignment)
+        reads.append(tight.reads)
+        return result
+
+    monkeypatch.setattr(verify, "_search_levels", counted)
+    for cut, raisable in ((0, []), (1, np.flatnonzero(rows > c).tolist())):
+        prices = (optimal.p - cut * (cols > c)).tolist()
+        report = check_envy_free(v, allocation, price_vector(prices))
+        assert report.envy_free
+        assert report.raisable == raisable == reference_raisable(
+            values.tolist(), allocation.assignment.tolist(), prices)
+    assert reads == [c + 2, c + 1]
