@@ -21,7 +21,8 @@ record, then streams the instance's rows into one
 and never holds the matrix.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(a file that cannot be read or written included), 3 internal error.
+(a file that cannot be read or written, or a size this machine cannot
+hold, included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     except (NonOptimalAllocation, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,21 @@
 """Revenue-maximizing envy-free prices for an optimal allocation.
 
-Two independent methods compute the same integer price vector:
+Both methods run one fixed-point iteration: starting from the first
+sweep applied to all-zero buyer utilities, they sweep the utility
+vector y over the utility-gap matrix until it stops changing, at the
+unique minimal stable fixed point.  They differ only in the sweep:
 
-* :func:`prices_efpm` raises a vector of buyer utilities by repeated
-  max-plus sweeps over the utility-gap matrix until it reaches the
-  unique minimal stable fixed point.  Each sweep reads only the arcs
-  that can still raise a utility.
-* :func:`prices_bellman_ford` solves the equivalent shortest-path
-  problem (a virtual source connected to every item node, plus one arc
-  per ordered item pair) by synchronous relaxation passes, each a dense
-  row minimum over the gap matrix; utilities are the negated distances.
+* :func:`prices_efpm` reads only the arcs that can still raise a
+  utility.
+* :func:`prices_bellman_ford` reads every arc.  Its sweep is the
+  synchronous relaxation pass of the equivalent shortest-path problem
+  (a virtual source connected to every item node, plus an arc of
+  weight -gaps[j][k] per ordered item pair), written on utilities
+  y = -d: y'[j] = max over k of y[k] + gaps[j][k], a dense row maximum
+  over the gap matrix.
+
+Both sweeps return the same vector from the same y, so the two methods
+give the same iterates, sweep counts and refusals by construction.
 
 Stability means y[j] >= y[k] + gaps[j][k] for all j != k: no item's
 winner could gain by taking another item at that item's price.  Prices
@@ -75,7 +81,7 @@ one does, with a larger constant; the O(n^3) bound stands.
 
 Both methods require the allocation behind the gap matrix to be
 welfare-optimal.  On other inputs the gap matrix contains a positive
-cycle, the iterates grow forever, and both methods abort with
+cycle, the iterates grow forever, and the iteration aborts with
 :class:`NonOptimalAllocation` instead of looping.
 """
 
@@ -91,9 +97,10 @@ from .core import INT64_MAX, ReorderedValuation, _int64_array, row_blocks
 class NonOptimalAllocation(ValueError):
     """The pricing input was not built from an optimal allocation.
 
-    Detected when the utility iteration (or a relaxation pass) is still
-    changing after the sweep budget that optimal inputs provably respect.
-    The ``sweeps`` attribute records how many sweeps ran before aborting.
+    Detected when the utility iteration, with either method's sweep, is
+    still changing after the n - 1 sweeps that optimal inputs provably
+    need at most.  The ``sweeps`` attribute records how many sweeps ran
+    before aborting, the first sweep from zero included.
     """
 
     def __init__(self, message: str, sweeps: int):
@@ -143,9 +150,10 @@ def prices_efpm(
     """Utility-iteration pricing.
 
     Starts from the row maxima of the gap matrix (the first sweep applied
-    to all-zero utilities) and keeps sweeping while any entry grows.  On
-    optimal input the loop body runs at most n - 1 times; one extra sweep
-    confirms the fixed point.  iterations_used counts the loop body runs.
+    to all-zero utilities), filled in by the first arc choice, and passes
+    its pruned sweep to the loop both methods share, which sweeps while
+    any entry grows.  A largest gap of zero leaves the row maxima at
+    zero, the fixed point, and no arc is chosen.
 
     Each sweep is y'[j] = max(y[j], max over kept k of y[k] +
     gaps[j][k]): a gather over each row's first kept arc off the
@@ -169,27 +177,20 @@ def prices_efpm(
     y_r[j] - gaps[j][k] wraps.
     """
     _check_same_view(u, vp)
-    n = u.n
     # The largest gap is max(y) after the first sweep.
     gap = int((u.source.max(axis=0) - u.winning).max())
     if gap == 0:
-        return _finish(u, np.zeros(n, dtype=np.int64), 0)
+        return _finish(u, np.zeros(u.n, dtype=np.int64), 0)
     # y[i] is the utility of the consumer of source row i; the arc tails
     # are those consumers' rows, so y is put in item order only at the end.
-    y = np.empty(n, dtype=np.int64)
+    y = np.empty(u.n, dtype=np.int64)
     arcs, bound = _choose_arcs(u, y, 2 * gap, fill=True)
     # A sweep raises max(y) by at most the largest gap, so top bounds
     # max(y) from above, and max(y) is read only when top passes B.
     top = gap
-    iterations = 0
-    changed = True
-    while changed:
-        if iterations >= n - 1:
-            raise NonOptimalAllocation(
-                "utility iteration still rising after its sweep budget; "
-                "the input allocation is not revenue-optimal",
-                sweeps=iterations + 1,
-            )
+
+    def sweep(y):
+        nonlocal arcs, bound, top
         if top > bound:
             top = y.item(y.argmax())
             if top > bound:
@@ -204,12 +205,10 @@ def prices_efpm(
             reach += weights
             more = np.maximum.reduceat(reach, segments)
             y_next[rows] = np.maximum(more, y_next[rows], out=more)
-        iterations += 1
         top += gap
-        # Comparing the bytes costs a fifth of an elementwise != and any().
-        changed = y_next.tobytes() != y.tobytes()
-        y = y_next
-    return _finish(u, y[u.order], iterations)
+        return y_next
+
+    return _iterate(u, y, sweep)
 
 
 def _choose_arcs(u: ReorderedValuation, y, theta: int, fill: bool = False):
@@ -291,45 +290,34 @@ def _read_arcs(u: ReorderedValuation, arcs):
 def prices_bellman_ford(
     u: ReorderedValuation, vp: ReorderedValuation
 ) -> tuple[UtilityVector, PriceVector]:
-    """Shortest-path baseline on the pricing network.
+    """Shortest-path baseline on the pricing network, swept densely.
 
     Nodes are a virtual source plus one node per item; the source reaches
     every node at cost zero and each ordered pair (k, j) carries an arc of
-    weight -gaps[j][k].  Distances start at zero (source arcs pre-relaxed)
-    and every pass relaxes every arc at once from the previous pass's
-    distances: d'[j] = min over k of d[k] - gaps[j][k], where the k = j
-    term is d[j] itself because the diagonal is zero.  Utilities are
-    y = -d.
-
-    A pass that still relaxes after the n - 1 passes sufficient for any
-    negative-cycle-free network means a negative cycle is reachable, i.e.
-    the allocation was not optimal.
+    weight -gaps[j][k].  A Bellman-Ford pass relaxes every arc at once
+    from the previous pass's distances, d'[j] = min over k of d[k] -
+    gaps[j][k], where the k = j term is d[j] itself because the diagonal
+    is zero.  On utilities y = -d that pass is the dense sweep y'[j] =
+    max over k of y[k] + gaps[j][k], which efpm's pruned sweep equals.
+    Distances start at zero (source arcs pre-relaxed), so the first pass
+    is the first sweep from zero, and the iteration, its n - 1 pass
+    budget (enough for any negative-cycle-free network) and its refusal
+    are efpm's.
     """
     _check_same_view(u, vp)
-    n = u.n
-    # d[i] is the distance of the consumer of source row i.
-    d = np.zeros(n, dtype=np.int64)
-    d_next = np.empty_like(d)
-    passes = 0
-    while True:
-        # With d_k the distance of item k, d_k - gaps[j][k] is
-        # (d_k + winning[k]) - source[row of j's winner][k]; d_k lies in
-        # -(n - 1) * M..0 before every pass, so nothing wraps.
-        reach = d[u.order] + u.winning
+
+    def sweep(y):
+        # y[i] is the utility of the consumer of source row i.  With y_k
+        # the utility of item k's winner, y_k + gaps[j][k] is
+        # source[row of j's winner][k] - (winning[k] - y_k); y_k lies in
+        # 0..(n - 1) * M before every sweep, so nothing wraps.
+        reach = u.winning - y[u.order]
+        y_next = np.empty_like(y)
         for lo, rows, out in row_blocks(u.source):
-            np.subtract(reach, rows, out=out).min(axis=1, out=d_next[lo : lo + len(rows)])
-        if np.array_equal(d_next, d):
-            break
-        passes += 1
-        if passes > n - 1:
-            raise NonOptimalAllocation(
-                "distances still relaxing after the pass budget; "
-                "a negative cycle is reachable, so the input allocation "
-                "is not revenue-optimal",
-                sweeps=passes,
-            )
-        d, d_next = d_next, d
-    return _finish(u, -d[u.order], passes)
+            np.subtract(rows, reach, out=out).max(axis=1, out=y_next[lo : lo + len(rows)])
+        return y_next
+
+    return _iterate(u, sweep(np.zeros(u.n, dtype=np.int64)), sweep)
 
 
 def _check_same_view(u: ReorderedValuation, vp) -> None:
@@ -338,6 +326,33 @@ def _check_same_view(u: ReorderedValuation, vp) -> None:
             "the reordered matrix does not match the gap matrix: "
             "pass build_gap_matrix(vp) and vp itself"
         )
+
+
+def _iterate(u: ReorderedValuation, y, sweep):
+    """Sweep y, the first sweep from zero, until it stops changing.
+
+    y and each sweep's result are in source-row order.  A zero y is
+    the fixed point already.  iterations_used counts the sweeps after
+    the first; on optimal input there are at most n - 1 of them, the
+    last confirming the fixed point, and a vector still changing then
+    raises :class:`NonOptimalAllocation`.
+    """
+    n = u.n
+    iterations = 0
+    changed = y.any()
+    while changed:
+        if iterations >= n - 1:
+            raise NonOptimalAllocation(
+                "utility iteration still rising after its sweep budget; "
+                "the input allocation is not revenue-optimal",
+                sweeps=iterations + 1,
+            )
+        y_next = sweep(y)
+        iterations += 1
+        # Comparing the bytes costs a fifth of an elementwise != and any().
+        changed = y_next.tobytes() != y.tobytes()
+        y = y_next
+    return _finish(u, y[u.order], iterations)
 
 
 def _finish(u: ReorderedValuation, y, iterations: int):

@@ -5,7 +5,7 @@ import itertools
 import sys
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from efpricing import (Allocation, EnvyReport, ParseError, PriceVector, ValuationMatrix,
                        read_instance, read_solution, reorder)
@@ -241,6 +241,33 @@ def lp_prices(v, allocation):
                   bounds=(None, None), method="highs")
     assert res.status == 0, res.message
     return np.rint(res.x).astype(np.int64)
+
+
+def marginal_prices(values):
+    """Each item's marginal contribution to the maximum weight: p[j] = W - W_-j.
+
+    W is the maximum weight of the market, and W_-j the maximum weight
+    with item j's column removed, so that one consumer goes without.
+    In the assignment game these are the seller-optimal core prices
+    (Leonard 1983; Demange, Gale and Sotomayor 1986): the
+    revenue-maximising envy-free prices of every optimal allocation.
+    Each of the n + 1 maxima comes from scipy's Hungarian method in
+    float64, which is exact only while sums of n entries stay below
+    2**52, so larger entries are refused; the weights of the
+    assignments it picks are summed again in Python integers.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    n = len(values)
+    if values.max() > 2**52 // n:
+        raise ValueError(f"entries above 2**52 // {n} are not summed exactly in float64")
+
+    def best(cols):
+        rows, picked = linear_sum_assignment(values[:, cols].astype(float), maximize=True)
+        return sum(values[rows, cols[picked]].tolist())
+
+    items = np.arange(n)
+    total = best(items)
+    return np.array([total - best(np.delete(items, j)) for j in items], dtype=np.int64)
 
 
 def reference_check_envy_free(v, a, p):

@@ -485,6 +485,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_a_size_this_machine_cannot_hold_is_a_usage_error(tmp_path):
+    # The child caps its own address space at 4 GiB before numpy loads,
+    # so the 74.5 GiB matrix of n = 100000 fails to allocate at once,
+    # whatever the host's overcommit setting, and no test allocates it.
+    src = str(Path(efpricing.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    code = ("import resource, sys; limit = resource.RLIMIT_AS; "
+            "resource.setrlimit(limit, (4 << 30, resource.getrlimit(limit)[1])); "
+            "from efpricing.cli import main; sys.exit(main(sys.argv[1:]))")
+    for argv in (["gen", "--n", "100000", "--out", str(tmp_path / "big.txt")],
+                 ["bench", "--sizes", "100000", "--trials", "2",
+                  "--out", str(tmp_path / "big.csv")]):
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: Unable to allocate"), done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def run_piped(text, *argv):
     """Run the CLI in a fresh process, with text on its stdin, a pipe."""
     src = str(Path(efpricing.__file__).resolve().parent.parent)

@@ -10,7 +10,11 @@ backwards from the zero set, and must give the same verdict.
 ``prices_bellman_ford`` takes a dense row minimum per pass, and must
 give the same distances, passes and refusals.  ``lp_prices`` solves the
 envy-freeness linear program of an allocation, and its optimum must be
-efpm's prices.
+efpm's prices.  ``marginal_prices`` prices each item at its marginal
+contribution to the maximum weight, from n + 1 of scipy's assignments,
+and must give both methods' prices up to n = 300.  The two methods run
+one loop with two sweeps, so they must agree exactly: the same
+utilities, prices and sweep count, or the same refusal.
 
 The methods read the valuation rows in blocks; the ``blocked`` tests
 draw the rows a block holds, from one to all of them, so that block
@@ -41,8 +45,8 @@ from efpricing.core import INT64_MAX, max_entry_for
 
 from efpricing import pricing
 
-from helpers import (blocks_of, chain, gap_array, lp_prices, reference_efpm,
-                     reference_minimality)
+from helpers import (blocks_of, chain, gap_array, lp_prices, marginal_prices,
+                     reference_efpm, reference_minimality)
 
 
 def reference_bellman_ford(u):
@@ -565,3 +569,56 @@ def test_the_staircase_chooses_its_arcs_again():
     choices, _ = choices_reading_max_every_sweep(priced(staircase(33), list(range(33)))[0])
     assert len(choices) > 2
 
+
+def outcome(method, gaps, vp):
+    """A method's (y, prices, iterations_used), or (text, sweeps) of its refusal."""
+    try:
+        utilities, prices = method(gaps, vp)
+    except NonOptimalAllocation as exc:
+        return str(exc), exc.sweeps
+    return utilities.y.tolist(), prices.p.tolist(), utilities.iterations_used
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_both_methods_follow_one_rule(data):
+    # Each market is priced under its optimal allocation and under a
+    # drawn one, which both methods most often refuse.
+    family = data.draw(st.sampled_from(["drawn", "one item", "zeros"]))
+    if family == "drawn":
+        values = drawn_market(data)[1].source
+    elif family == "one item":
+        values = [[data.draw(st.integers(0, 10**6))]]
+    else:
+        values = np.zeros((data.draw(st.integers(1, 14)),) * 2, dtype=np.int64)
+    for assignment in (None, data.draw(st.permutations(range(len(values))))):
+        gaps, vp = priced(values, assignment)
+        assert outcome(prices_efpm, gaps, vp) == outcome(prices_bellman_ford, gaps, vp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_both_methods_price_at_the_marginal_contributions(data):
+    gaps, vp = drawn_market(data)
+    expected = marginal_prices(vp.source).tolist()
+    assert prices_efpm(gaps, vp)[1].p.tolist() == expected
+    assert prices_bellman_ford(gaps, vp)[1].p.tolist() == expected
+
+
+def relabelled(values, seed):
+    rng = np.random.default_rng(seed)
+    n = len(values)
+    return values[rng.permutation(n)][:, rng.permutation(n)]
+
+
+@pytest.mark.parametrize("values", [
+    relabelled(generate(300, 3).values, 3),
+    relabelled(generate(200, 4, 7).values, 4),
+    relabelled(chain(300, 300, range(300), range(300)), 5),
+    relabelled(np.outer(np.arange(1, 151), np.arange(1, 151)), 150),
+], ids=["random-300", "ties-200", "chain-300", "product-150"])
+def test_both_methods_price_large_markets_at_the_marginal_contributions(values):
+    gaps, vp = priced(values)
+    expected = marginal_prices(values).tolist()
+    assert prices_efpm(gaps, vp)[1].p.tolist() == expected
+    assert prices_bellman_ford(gaps, vp)[1].p.tolist() == expected
