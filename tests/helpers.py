@@ -121,6 +121,30 @@ def chain(n, seed, rows, cols, step=1, drop=0):
     return values[np.array(rows)][:, np.array(cols)]
 
 
+def chained(n, c, rows, cols):
+    """Consumer 0, a chain of c consumers after it, and a block of the rest.
+
+    With H = n + 10, consumer 0 values item 0 at 5, chain consumer
+    i = 1..c values item i at H and item i - 1 at H - 1, each block
+    consumer values every block item (c + 1 .. n - 1) at H and item c at
+    H - 1, and every other entry is 0.  At the optimal prices consumer 0
+    alone has zero utility, chain consumer i is held by consumer i - 1
+    alone, and the block by chain consumer c.  A block of n / 2 or more
+    has more than ``FEW_ARCS`` tight arcs per consumer, so the level
+    search takes c levels of one item, then the block's.  rows and cols
+    relabel the market.
+    """
+    h = n + 10
+    values = np.zeros((n, n), dtype=np.int64)
+    values[0, 0] = 5
+    links = np.arange(1, c + 1)
+    values[links, links] = h
+    values[links, links - 1] = h - 1
+    values[c + 1 :, c + 1 :] = h
+    values[c + 1 :, c] = h - 1
+    return values[np.array(rows)][:, np.array(cols)]
+
+
 def weight(v, allocation):
     """Total valuation that allocation collects on the matrix v."""
     return int(v.values[np.arange(v.n), allocation.assignment].sum())

@@ -15,14 +15,33 @@ from hypothesis import strategies as st
 
 import efpricing
 from efpricing import SolutionRecord, generate, read_solution, serialize
-from efpricing import cli, core
+from efpricing import cli, core, verify
 from efpricing.cli import CSV_HEADER, main, student_t_quantile
 
 from helpers import blocks_of, reference_verify
 
 
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(*args, input=None, **env):
+    """Run Python in a fresh process, on the package's source tree.
+
+    env adds to the parent's environment; the finished process is returned.
+    """
+    src = str(Path(efpricing.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args], input=input,
+                          env={**os.environ, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True)
+
+
+def run_module(*argv, input=None):
+    """Run ``python -m efpricing.cli`` in a fresh process, input on its stdin."""
+    return run_python("-m", "efpricing.cli", *argv, input=input)
 
 
 @pytest.fixture
@@ -408,7 +427,7 @@ def test_the_solve_pipeline_runs_through_the_names_the_benchmark_traces(
     # perfbench times each layer by wrapping efpricing.cli's own names;
     # a pipeline that reached the layers another way would leave its
     # per-layer metrics at zero without failing.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(PERFBENCH)
     from tracing import Tracer, instrument
 
     tracer = Tracer()
@@ -425,7 +444,7 @@ def test_verify_certifies_in_the_one_call_the_benchmark_traces(
 ):
     # perfbench times the certificate as the verify.check_envy_free
     # span; a check that verify ran around that call would go untimed.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(PERFBENCH)
     from tracing import Tracer, instrument
 
     optimal = tmp_path / "optimal.json"
@@ -476,40 +495,24 @@ def test_student_t_quantile_matches_scipy():
 def test_cli_import_leaves_scipy_unloaded():
     # Every command pays for what importing the CLI loads; scipy alone
     # costs most of a second, and the package does not depend on it.
-    src = str(Path(efpricing.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, efpricing.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    out = run_python("-c", "import sys, efpricing.cli; print('scipy' in sys.modules)")
+    assert out.stdout == "False\n", out.stderr
 
 
 def test_a_size_this_machine_cannot_hold_is_a_usage_error(tmp_path):
     # The child caps its own address space at 4 GiB before numpy loads,
     # so the 74.5 GiB matrix of n = 100000 fails to allocate at once,
     # whatever the host's overcommit setting, and no test allocates it.
-    src = str(Path(efpricing.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     code = ("import resource, sys; limit = resource.RLIMIT_AS; "
             "resource.setrlimit(limit, (4 << 30, resource.getrlimit(limit)[1])); "
             "from efpricing.cli import main; sys.exit(main(sys.argv[1:]))")
     for argv in (["gen", "--n", "100000", "--out", str(tmp_path / "big.txt")],
                  ["bench", "--sizes", "100000", "--trials", "2",
                   "--out", str(tmp_path / "big.csv")]):
-        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True)
+        done = run_python("-c", code, *argv, OPENBLAS_NUM_THREADS="1")
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: Unable to allocate"), done.stderr
     assert list(tmp_path.iterdir()) == []
-
-
-def run_piped(text, *argv):
-    """Run the CLI in a fresh process, with text on its stdin, a pipe."""
-    src = str(Path(efpricing.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-m", "efpricing.cli", *argv], input=text,
-                          env=env, capture_output=True, text=True)
 
 
 def test_an_instance_can_come_from_a_pipe(tmp_path):
@@ -518,15 +521,89 @@ def test_an_instance_can_come_from_a_pipe(tmp_path):
     path = tmp_path / "m.txt"
     efpricing.write_instance(generate(30, 5), path)
     assert run_cli("solve", str(path), "--out", str(tmp_path / "file.json")) == 0
-    piped = run_piped(path.read_text(), "solve", "/dev/stdin",
-                      "--out", str(tmp_path / "pipe.json"))
+    piped = run_module("solve", "/dev/stdin", "--out", str(tmp_path / "pipe.json"),
+                       input=path.read_text())
     assert piped.returncode == 0, piped.stderr
     assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "file.json").read_bytes()
-    checked = run_piped(path.read_text(), "verify", "/dev/stdin", str(tmp_path / "file.json"))
+    checked = run_module("verify", "/dev/stdin", str(tmp_path / "file.json"),
+                         input=path.read_text())
     assert checked.returncode == 0 and checked.stdout.startswith("ok: "), checked.stderr
-    bad = run_piped("2\n1 x\n3 4\n", "solve", "/dev/stdin")
+    bad = run_module("solve", "/dev/stdin", input="2\n1 x\n3 4\n")
     assert (bad.returncode, bad.stdout, bad.stderr) == (
         2, "", "error: row 0, column 1: non-integer token 'x'\n")
+
+
+def test_the_module_exits_with_each_documented_code(tmp_path):
+    # python -m efpricing.cli hands main's code to the shell: 0 for a
+    # certified record, 1 for a record that is wrong and 2 for a file
+    # that is malformed.  Every price lowered by one, and the revenue by
+    # n, stays envy-free but leaves no consumer at zero utility.  A header
+    # of 20 digits goes to the token loop, which names the size the body
+    # does not have.
+    path = tmp_path / "m.txt"
+    efpricing.write_instance(generate(200, 3), path)
+    optimal = tmp_path / "optimal.json"
+    assert run_cli("solve", str(path), "--out", str(optimal)) == 0
+    record = json.loads(optimal.read_text())
+    revenue = record["revenue"]
+    record["prices"] = [p - 1 for p in record["prices"]]
+    record["revenue"] -= record["n"]
+    lowered = tmp_path / "lowered.json"
+    lowered.write_text(json.dumps(record))
+    huge = tmp_path / "huge.txt"
+    huge.write_text("9" * 20 + "\n" + path.read_text().split("\n", 1)[1])
+    runs = [run_module("verify", str(path), str(optimal)),
+            run_module("verify", str(path), str(lowered)),
+            run_module("solve", str(huge))]
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [
+        (0, f"ok: envy-free and revenue-maximal, revenue {revenue}\n", ""),
+        (1, "not revenue-maximal: no consumer has zero utility, so every price can rise\n", ""),
+        (2, "", "error: expected 99999999999999999999 rows, found 200\n"),
+    ]
+
+
+@pytest.mark.parametrize("n, max_value", [(1, 2**63 - 1), (3, 0)], ids=["widest", "zeros"])
+def test_gen_writes_the_row_join_that_both_methods_solve_alike(n, max_value, tmp_path, capsys):
+    # The widest entry the format allows, and a matrix of zeros, on which
+    # both methods start at their fixed point.
+    path = tmp_path / "m.txt"
+    assert run_cli("gen", "--n", str(n), "--max-value", str(max_value), "--out", str(path)) == 0
+    rows = generate(n, 0, max_value).values.tolist()
+    assert path.read_text() == "".join(f"{line}\n" for line in
+                                       [n, *(" ".join(map(str, row)) for row in rows)])
+    records = []
+    for method in ("efpm", "bellman-ford"):
+        out = tmp_path / f"{method}.json"
+        assert run_cli("solve", str(path), "--method", method, "--out", str(out)) == 0
+        records.append(out.read_bytes())
+    assert records[0] == records[1]
+    capsys.readouterr()
+    assert run_cli("verify", str(path), str(tmp_path / "efpm.json")) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
+def test_a_long_chain_is_certified_item_by_item(tmp_path, monkeypatch, capsys):
+    # A 2,000-consumer chain, built and relabelled as perfbench builds
+    # it, keeps two tight arcs per consumer, and only its last consumer
+    # has zero utility: the certificate follows the chain through its
+    # 2,000 levels item by item, not at a few numpy calls per level.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from workloads import chain_revenue, chain_values, relabel
+
+    n = 2000
+    rng = np.random.default_rng(0)
+    path = tmp_path / "chain.txt"
+    efpricing.write_instance(efpricing.ValuationMatrix(relabel(chain_values(n, rng), rng)), path)
+
+    def refuse(*args):
+        raise AssertionError("the level search ran on a chain")
+
+    monkeypatch.setattr(verify, "_search_levels", refuse)
+    solution = tmp_path / "chain.json"
+    assert run_cli("solve", str(path), "--out", str(solution)) == 0
+    assert run_cli("verify", str(path), str(solution)) == 0
+    assert capsys.readouterr().out == (
+        f"ok: envy-free and revenue-maximal, revenue {chain_revenue(n)}\n")
 
 
 def test_oracles_stay_out_of_the_api_but_within_reach():
@@ -534,13 +611,8 @@ def test_oracles_stay_out_of_the_api_but_within_reach():
     # the CLI, but the package still hands it out by name, for the
     # benchmark's checks.  Its size error is reached in efpricing.oracles
     # alone.
-    src = str(Path(efpricing.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, efpricing.cli; print('efpricing.oracles' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    out = run_python("-c", "import sys, efpricing.cli; print('efpricing.oracles' in sys.modules)")
+    assert out.stdout == "False\n", out.stderr
     from efpricing import oracles
 
     assert "brute_force_max_revenue" not in efpricing.__all__
@@ -621,6 +693,27 @@ def test_verify_answers_as_when_it_read_the_matrix_first(instance, solution, ver
     expected = reference_verify(*argv)
     reference = capsys.readouterr()
     assert (code, streamed.out, streamed.err) == (expected, reference.out, reference.err)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_a_signed_last_row_solves_and_verifies_as_the_plain_file(line_end, verify_files,
+                                                                 tmp_path, capsys):
+    # The block reader refuses a sign that the token loop accepts: solve
+    # reads such a file whole in the token loop, and verify takes from it
+    # the rows that its blocks have not certified.
+    signed = tmp_path / "signed.txt"
+    signed.write_bytes(verify_files["instance", "signed last row"].read_bytes()
+                       .replace(b"\n", line_end.encode()))
+    records = []
+    for path in (verify_files["instance", "ok"], signed):
+        out = tmp_path / "solution.json"
+        assert run_cli("solve", str(path), "--out", str(out)) == 0
+        records.append(out.read_bytes())
+    assert records[0] == records[1]
+    capsys.readouterr()
+    with blocks_of(4 * VERIFY_N):
+        assert run_cli("verify", str(signed), str(out)) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
 
 
 # Bytes that the instance and record formats give a meaning to, or that

@@ -21,7 +21,7 @@ from efpricing.core import INT64_MAX, max_entry_for
 from efpricing.instance import stream_instance
 from efpricing.oracles import InstanceTooLargeError, brute_force_max_revenue
 
-from helpers import (blocks_of, chain, random_matrix, reference_check_envy_free,
+from helpers import (blocks_of, chain, chained, random_matrix, reference_check_envy_free,
                      reference_minimality)
 
 
@@ -319,30 +319,6 @@ def test_a_relabelled_chain_is_searched_one_item_a_level(cut):
     utilities = UtilityVector(y=vp.winning - np.array(prices), iterations_used=0)
     assert minimality_certificate(vp, utilities) == reference_minimality(vp, utilities)
     assert minimality_certificate(vp, utilities) == (cut == 0)
-
-
-def chained(n, c, rows, cols):
-    """Consumer 0, a chain of c consumers after it, and a block of the rest.
-
-    With H = n + 10, consumer 0 values item 0 at 5, chain consumer
-    i = 1..c values item i at H and item i - 1 at H - 1, each block
-    consumer values every block item (c + 1 .. n - 1) at H and item c at
-    H - 1, and every other entry is 0.  At the optimal prices consumer 0
-    alone has zero utility, chain consumer i is held by consumer i - 1
-    alone, and the block by chain consumer c.  A block of n / 2 or more
-    has more than ``FEW_ARCS`` tight arcs per consumer, so the level
-    search takes c levels of one item, then the block's.  rows and cols
-    relabel the market.
-    """
-    h = n + 10
-    values = np.zeros((n, n), dtype=np.int64)
-    values[0, 0] = 5
-    links = np.arange(1, c + 1)
-    values[links, links] = h
-    values[links, links - 1] = h - 1
-    values[c + 1 :, c + 1 :] = h
-    values[c + 1 :, c] = h - 1
-    return values[np.array(rows)][:, np.array(cols)]
 
 
 @st.composite
