@@ -8,7 +8,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
 from efpricing import (Allocation, EnvyReport, ParseError, PriceVector, ValuationMatrix,
-                       read_instance, read_solution, reorder)
+                       build_gap_matrix, read_instance, read_solution, reorder,
+                       solve_assignment)
 from efpricing import core, instance
 from efpricing.core import INT64_MAX, INT64_MIN
 from efpricing.oracles import InstanceTooLargeError
@@ -31,6 +32,17 @@ def explicit_gaps(rows):
     """
     g = np.asarray(rows, dtype=np.int64)
     return reorder(ValuationMatrix(g - g.min(axis=0)), Allocation(np.arange(len(g))))
+
+
+def priced(values, assignment=None):
+    """Gap matrix and reordered matrix for an allocation, optimal by default."""
+    v = ValuationMatrix(values)
+    if assignment is None:
+        allocation = solve_assignment(v).allocation
+    else:
+        allocation = Allocation(assignment)
+    vp = reorder(v, allocation)
+    return build_gap_matrix(vp), vp
 
 
 def reordered_values(u):

@@ -1,14 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from efpricing import (
-    Allocation,
     NonOptimalAllocation,
     PriceVector,
     ReorderedValuation,
     UtilityVector,
-    ValuationMatrix,
-    build_gap_matrix,
     generate,
     minimality_certificate,
     prices_bellman_ford,
@@ -18,61 +17,36 @@ from efpricing import (
 from efpricing.cli import solve_and_price
 from efpricing.core import INT64_MAX
 
-from helpers import explicit_gaps, random_matrix, reference_efpm, reordered_values
+from helpers import explicit_gaps, priced, random_matrix, reference_efpm, reordered_values
 
 ALL_METHODS = [prices_efpm, prices_bellman_ford]
 
 
-def reordered_pair(values, assignment=None):
-    v = ValuationMatrix(values)
-    if assignment is None:
-        assignment = list(range(v.n))
-    vp = reorder(v, Allocation(assignment))
-    return build_gap_matrix(vp), vp
-
-
-class TestPricesEfpm:
-    def test_worked_example(self):
-        gaps, vp = reordered_pair([[5, 4], [1, 2]])
-        utilities, prices = prices_efpm(gaps, vp)
+@pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
+class TestSmallMarkets:
+    def test_worked_example(self, pricing_fn):
+        utilities, prices = pricing_fn(*priced([[5, 4], [1, 2]], range(2)))
         assert utilities.y.tolist() == [2, 0]
         assert prices.p.tolist() == [3, 2]
         assert prices.revenue == 5
         assert utilities.iterations_used <= 1
 
-    def test_all_negative_gaps_price_at_valuations(self):
-        gaps, vp = reordered_pair([[3, 1], [1, 2]])
-        utilities, prices = prices_efpm(gaps, vp)
+    def test_all_negative_gaps_price_at_valuations(self, pricing_fn):
+        utilities, prices = pricing_fn(*priced([[3, 1], [1, 2]], range(2)))
         assert utilities.y.tolist() == [0, 0]
         assert prices.p.tolist() == [3, 2]
         assert prices.revenue == 5
 
-    def test_single_item(self):
-        gaps, vp = reordered_pair([[9]])
-        utilities, prices = prices_efpm(gaps, vp)
+    def test_single_item(self, pricing_fn):
+        utilities, prices = pricing_fn(*priced([[9]], range(1)))
         assert utilities.y.tolist() == [0]
         assert prices.p.tolist() == [9]
         assert utilities.iterations_used == 0
 
-    def test_antidiagonal_market(self):
-        v = ValuationMatrix([[0, 10], [10, 0]])
-        utilities, prices, _ = solve_and_price(v, ["efpm"]).priced["efpm"]
+    def test_antidiagonal_market(self, pricing_fn):
+        utilities, prices = pricing_fn(*priced([[0, 10], [10, 0]]))
         assert utilities.y.tolist() == [0, 0]
         assert prices.revenue == 20
-
-
-class TestPricesBellmanFord:
-    def test_worked_example(self):
-        gaps, vp = reordered_pair([[5, 4], [1, 2]])
-        utilities, prices = prices_bellman_ford(gaps, vp)
-        assert utilities.y.tolist() == [2, 0]
-        assert prices.p.tolist() == [3, 2]
-
-    def test_single_item(self):
-        gaps, vp = reordered_pair([[4]])
-        utilities, prices = prices_bellman_ford(gaps, vp)
-        assert utilities.y.tolist() == [0]
-        assert prices.p.tolist() == [4]
 
 
 @pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
@@ -81,7 +55,14 @@ class TestPricesBellmanFord:
     ([[0, -1], [-2, 0]], [0, 0]),
     # Utility flows along the path 2 -> 1 -> 0 one sweep at a time.
     ([[0, 1, -5], [-5, 0, 1], [-5, -5, 0]], [2, 1, 0]),
-], ids=["one-positive-gap", "nonpositive-gaps", "path"])
+    # A tight cycle lifts nothing: zero is its fixed point.
+    ([[0, 0], [0, 0]], [0, 0]),
+    # The two-arc path 0 -> 1 -> 2 outweighs the direct arc 0 -> 2.
+    ([[0, 1, 1], [-5, 0, 1], [-5, -5, 0]], [2, 1, 0]),
+    # Two rows reach the sink directly, and row 1 through row 0 too.
+    ([[0, -1, 3], [-1, 0, 2], [-5, -5, 0]], [3, 2, 0]),
+], ids=["one-positive-gap", "nonpositive-gaps", "path", "tight-cycle", "longer-path",
+        "star"])
 def test_explicit_gaps_reach_the_dense_fixed_point(pricing_fn, rows, expected):
     gaps = explicit_gaps(rows)
     utilities, _ = pricing_fn(gaps, gaps)
@@ -99,32 +80,16 @@ def test_every_optimal_allocation_gets_the_same_prices(pricing_fn):
     for _ in range(60):
         n = int(rng.integers(1, 7))
         v = random_matrix(rng, n, 3)
-        weights = {p: int(v.values[np.arange(n), p].sum()) for p in _all_perms(n)}
+        weights = {p: int(v.values[np.arange(n), p].sum())
+                   for p in itertools.permutations(range(n))}
         best = max(weights.values())
         seen = set()
         for perm, weight in weights.items():
             if weight != best:
                 continue
-            gaps, vp = reordered_pair(v.values, list(perm))
-            _, prices = pricing_fn(gaps, vp)
+            _, prices = pricing_fn(*priced(v.values, perm))
             seen.add(tuple(prices.p.tolist()))
         assert len(seen) == 1
-
-
-class TestCrossMethod:
-    def test_identical_results_on_random_instances(self):
-        rng = np.random.default_rng(61)
-        for _ in range(150):
-            n = int(rng.integers(2, 9))
-            hi = int(rng.choice([2, 10, 10**6]))
-            v = random_matrix(rng, n, hi)
-            solved = solve_and_price(v, ["efpm", "bellman-ford"])
-            u1, p1, _ = solved.priced["efpm"]
-            u2, p2, _ = solved.priced["bellman-ford"]
-            assert np.array_equal(u1.y, u2.y)
-            assert np.array_equal(p1.p, p2.p)
-            assert p1.revenue == p2.revenue
-            assert u1.iterations_used == u2.iterations_used
 
 
 class TestConvergedProperties:
@@ -180,63 +145,35 @@ class TestMinimalityCertificate:
         assert not minimality_certificate(gaps, UtilityVector(y=[1, 1], iterations_used=0))
 
 
-class TestNonOptimalDetection:
-    @pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
-    def test_suboptimal_allocation_raises(self, pricing_fn):
-        v = ValuationMatrix([[0, 10], [10, 0]])
-        gaps, vp = reordered_pair(v.values, [0, 1])  # identity is suboptimal here
-        with pytest.raises(NonOptimalAllocation) as excinfo:
-            pricing_fn(gaps, vp)
-        assert excinfo.value.sweeps <= v.n
+@pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
+@pytest.mark.parametrize("values", [
+    [[0, 10], [10, 0]],
+    [[0, 0, 10], [10, 0, 0], [0, 10, 0]],
+], ids=["antidiagonal", "three-cycle"])
+def test_suboptimal_allocation_raises(pricing_fn, values):
+    # The identity is suboptimal on both markets; it is refused at the
+    # dense loop's sweep.
+    n = len(values)
+    gaps, vp = priced(values, range(n))
+    with pytest.raises(NonOptimalAllocation) as excinfo:
+        pricing_fn(gaps, vp)
+    assert excinfo.value.sweeps <= n
+    assert (None, excinfo.value.sweeps) == reference_efpm(gaps)
 
-    @pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
-    def test_random_suboptimal_allocations_raise_or_price_validly(self, pricing_fn):
-        # A non-optimal allocation either trips the sweep budget or, if its
-        # gap cycles happen to be nonpositive, yields stable prices anyway.
-        rng = np.random.default_rng(71)
-        raised = 0
-        for _ in range(60):
-            n = int(rng.integers(2, 8))
-            v = random_matrix(rng, n, 1000)
-            worst = min(
-                (np.array(p) for p in _all_perms(n)),
-                key=lambda p: int(v.values[np.arange(n), p].sum()),
-            )
-            gaps, vp = reordered_pair(v.values, worst.tolist())
-            try:
-                utilities, _ = pricing_fn(gaps, vp)
-            except NonOptimalAllocation as exc:
-                raised += 1
-                if pricing_fn is prices_efpm:
-                    assert (None, exc.sweeps) == reference_efpm(gaps)
-                else:
-                    assert exc.sweeps <= n
-            else:
-                assert np.array_equal(reference_efpm(gaps)[0], utilities.y)
-        assert raised > 0
 
-    def test_dimension_mismatch_rejected(self):
-        gaps, _ = reordered_pair([[5, 4], [1, 2]])
-        _, vp3 = reordered_pair([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        with pytest.raises(ValueError, match="match"):
-            prices_efpm(gaps, vp3)
+def twin(vp):
+    """A view and a second, equal view of the same allocation."""
+    return vp, ReorderedValuation(vp.matrix, vp.allocation)
 
 
 @pytest.mark.parametrize("pricing_fn", ALL_METHODS, ids=["efpm", "bellman-ford"])
-def test_pricing_refuses_a_second_view_that_is_not_the_first(pricing_fn):
+@pytest.mark.parametrize("views", [
     # Two markets of one size: the second one's winning valuations would
     # price the first market wrongly, with no other sign of the mix-up.
-    v1, v2 = generate(5, 1), generate(5, 2)
-    vp1 = reorder(v1, solve_and_price(v1, []).allocation)
-    vp2 = reorder(v2, solve_and_price(v2, []).allocation)
+    lambda: (priced(generate(5, 1).values)[0], priced(generate(5, 2).values)[1]),
+    lambda: twin(priced(generate(5, 1).values)[1]),
+    lambda: (priced([[5, 4], [1, 2]])[0], priced(np.eye(3, dtype=np.int64))[1]),
+], ids=["same-size", "twin", "other-size"])
+def test_pricing_refuses_a_second_view_that_is_not_the_first(pricing_fn, views):
     with pytest.raises(ValueError, match="does not match"):
-        pricing_fn(build_gap_matrix(vp1), vp2)
-    twin = ReorderedValuation(vp1.matrix, vp1.allocation)
-    with pytest.raises(ValueError, match="does not match"):
-        pricing_fn(vp1, twin)
-
-
-def _all_perms(n):
-    import itertools
-
-    return itertools.permutations(range(n))
+        pricing_fn(*views())

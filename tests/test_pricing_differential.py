@@ -1,24 +1,23 @@
-"""efpm and the minimality certificate against their dense reference loops.
+"""Both pricing methods and the minimality certificate against reference loops.
 
-``reference_efpm`` sweeps the whole gap matrix; ``prices_efpm`` sweeps
-only the arcs that can still raise a utility, so every iterate, the
-sweep count and the sweep at which a non-optimal allocation is refused
-must be the same.  ``reference_minimality`` grows the reached set in
-rounds of dense n x n passes; ``minimality_certificate`` searches
-backwards from the zero set, and must give the same verdict.
-``reference_bellman_ford`` relaxes an explicit arc list;
-``prices_bellman_ford`` takes a dense row minimum per pass, and must
-give the same distances, passes and refusals.  ``lp_prices`` solves the
-envy-freeness linear program of an allocation, and its optimum must be
-efpm's prices.  ``marginal_prices`` prices each item at its marginal
-contribution to the maximum weight, from n + 1 of scipy's assignments,
-and must give both methods' prices up to n = 300.  The two methods run
-one loop with two sweeps, so they must agree exactly: the same
-utilities, prices and sweep count, or the same refusal.
-
-The methods read the valuation rows in blocks; the ``blocked`` tests
-draw the rows a block holds, from one to all of them, so that block
-boundaries fall anywhere.
+``reference_efpm`` sweeps the whole gap matrix, and
+``reference_bellman_ford`` relaxes an explicit arc list.
+``prices_efpm`` sweeps only the arcs that can still raise a utility,
+and ``prices_bellman_ford`` takes a dense row maximum on y = -d per
+pass; the two methods run one loop with these two sweeps.  Each
+differential family runs both methods against both reference loops,
+with the rows a block holds drawn from one to all of them so that
+block boundaries fall anywhere: the utilities, the sweep count and
+the sweep at which a non-optimal allocation is refused must be the
+same.  ``reference_minimality`` grows the reached set in rounds of
+dense n x n passes; ``minimality_certificate`` searches backwards from
+the zero set, and must give the same verdict.  ``lp_prices`` solves
+the envy-freeness linear program of an allocation, and its optimum
+must be efpm's prices.  ``marginal_prices`` prices each item at its
+marginal contribution to the maximum weight, from n + 1 of scipy's
+assignments, and must give both methods' prices up to n = 300.  The
+two methods must also agree exactly with each other: the same
+utilities, prices and sweep count, or the same refusal and its text.
 """
 
 import itertools
@@ -29,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efpricing import (
-    Allocation,
     NonOptimalAllocation,
     UtilityVector,
     ValuationMatrix,
@@ -45,7 +43,7 @@ from efpricing.core import INT64_MAX, max_entry_for
 
 from efpricing import pricing
 
-from helpers import (blocks_of, chain, gap_array, lp_prices, marginal_prices,
+from helpers import (blocks_of, chain, gap_array, lp_prices, marginal_prices, priced,
                      reference_efpm, reference_minimality)
 
 
@@ -74,28 +72,34 @@ def reference_bellman_ford(u):
         d = d_next
 
 
-def priced(values, assignment=None):
-    """Gap matrix and reordered matrix for an allocation, optimal by default."""
-    v = ValuationMatrix(values)
-    if assignment is None:
-        allocation = solve_assignment(v).allocation
-    else:
-        allocation = Allocation(assignment)
-    vp = reorder(v, allocation)
-    return build_gap_matrix(vp), vp
+#: Each method with the reference loop it must follow.
+METHODS = [(prices_efpm, reference_efpm), (prices_bellman_ford, reference_bellman_ford)]
 
 
-def assert_efpm_matches_reference(gaps, vp):
-    """Run both loops; returns efpm's (y, iterations) or (None, sweeps)."""
-    expected = reference_efpm(gaps)
+def assert_matches_reference(method, reference, gaps, vp):
+    """Run a method and its reference loop; returns the method's
+    (y, iterations), or (None, sweeps) where it refuses the allocation."""
+    expected = reference(gaps)
     try:
-        utilities, _ = prices_efpm(gaps, vp)
+        utilities, _ = method(gaps, vp)
     except NonOptimalAllocation as exc:
         assert (None, exc.sweeps) == expected
         return expected
     assert utilities.iterations_used == expected[1]
     assert expected[0] is not None and np.array_equal(utilities.y, expected[0])
     return utilities.y, utilities.iterations_used
+
+
+def assert_blocked_methods_match(data, gaps, vp):
+    """Both methods against their references, with blocks of 1..n rows.
+
+    Returns each method's result, efpm's first.
+    """
+    n = gaps.n
+    rows = data.draw(st.integers(1, n), label="rows per block")
+    with blocks_of(rows * n):
+        return [assert_matches_reference(method, reference, gaps, vp)
+                for method, reference in METHODS]
 
 
 def square(draw, entries, n):
@@ -122,36 +126,6 @@ def staircase(n):
     idx = np.arange(n - 1)
     values[idx, idx + 1] = h + 1
     return values
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_efpm_matches_the_dense_loop_on_random_entries(data):
-    hi = data.draw(st.sampled_from([3, 10**6]))
-    values = square(data.draw, st.integers(0, hi), data.draw(st.integers(1, 14)))
-    assert_efpm_matches_reference(*priced(values))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_efpm_spends_the_whole_budget_on_chains(data):
-    # With drop >= 3 * step, the arc that lifts y[0] lies below the
-    # pruning threshold of the first sweeps and is needed only after the
-    # bound has grown.
-    n = data.draw(st.integers(2, 40))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    step = data.draw(st.sampled_from([1, 7, 1000]))
-    drop = 0
-    if n >= 5 and data.draw(st.booleans()):
-        drop = data.draw(st.integers(3 * step, (n - 1) * step - 1))
-    rows = data.draw(st.permutations(range(n)))
-    cols = data.draw(st.permutations(range(n)))
-    y, iterations = assert_efpm_matches_reference(
-        *priced(chain(n, seed, rows, cols, step, drop)))
-    assert iterations == n - 1
-    expected = [step * (n - 1 - i) for i in range(n)]
-    expected[0] -= drop
-    assert sorted(y.tolist()) == sorted(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,44 +156,15 @@ def test_efpm_prices_are_the_lp_optimum(data):
     assert np.array_equal(prices.p, lp)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_efpm_matches_the_dense_loop_at_the_entry_bound(data):
-    n = data.draw(st.integers(1, 8))
-    values = square(data.draw, extreme_entries(n), n)
-    assert_efpm_matches_reference(*priced(values))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_efpm_matches_the_dense_loop_on_worst_weight_allocations(data):
-    # The lightest allocation is non-optimal unless every allocation
-    # weighs the same; efpm must refuse it after the reference's sweeps.
-    n = data.draw(st.integers(2, 6))
-    entries = data.draw(st.sampled_from(
-        [st.integers(0, 3), st.integers(0, 10**6), extreme_entries(n)]))
-    values = np.array(square(data.draw, entries, n), dtype=np.int64)
-    rows = np.arange(n)
-    worst = min(itertools.permutations(range(n)),
-                key=lambda p: int(values[rows, list(p)].sum()))
-    assert_efpm_matches_reference(*priced(values, list(worst)))
-
-
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 21])
-def test_efpm_refuses_a_diverging_allocation_at_the_entry_bound(n):
+def test_both_methods_refuse_a_diverging_allocation_at_the_entry_bound(n):
     # Off the diagonal every entry is M, on it zero: under the identity
     # every utility rises by M a sweep up to n * M, and the arc bound
     # reaches its int64 cap without wrapping.
     m = max_entry_for(n)
-    values = m * (1 - np.eye(n, dtype=np.int64))
-    assert assert_efpm_matches_reference(*priced(values, list(range(n)))) == (None, n)
-
-
-@pytest.mark.parametrize("n", [2, 3, 10, 60])
-def test_efpm_matches_the_dense_loop_when_most_arcs_stay_kept(n):
-    y, iterations = assert_efpm_matches_reference(*priced(staircase(n), list(range(n))))
-    assert iterations == n - 1
-    assert y.tolist() == list(range(n - 1, -1, -1))
+    gaps, vp = priced(m * (1 - np.eye(n, dtype=np.int64)), range(n))
+    for method, reference in METHODS:
+        assert assert_matches_reference(method, reference, gaps, vp) == (None, n)
 
 
 @settings(max_examples=400, deadline=None)
@@ -243,91 +188,41 @@ def test_minimality_certificate_matches_the_round_loop(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_bellman_ford_matches_the_arc_list(data):
-    # Optimal allocations on random and extreme entries, and the lightest
-    # allocation, which makes both refuse after the same pass.
-    n = data.draw(st.integers(1, 7))
-    entries = data.draw(st.sampled_from(
-        [st.integers(0, 3), st.integers(0, 10**6), extreme_entries(n)]))
-    values = np.array(square(data.draw, entries, n), dtype=np.int64)
-    assignment = None
-    if n > 1 and data.draw(st.booleans()):
-        rows = np.arange(n)
-        assignment = list(min(itertools.permutations(range(n)),
-                              key=lambda p: int(values[rows, list(p)].sum())))
-    gaps, vp = priced(values, assignment)
-    expected = reference_bellman_ford(gaps)
-    try:
-        utilities, _ = prices_bellman_ford(gaps, vp)
-    except NonOptimalAllocation as exc:
-        assert (None, exc.sweeps) == expected
-        return
-    assert np.array_equal(utilities.y, expected[0])
-    assert utilities.iterations_used == expected[1]
-
-
-@pytest.mark.parametrize("n", [2, 10, 40])
-def test_bellman_ford_matches_the_arc_list_on_chains(n):
-    gaps, vp = priced(chain(n, n, range(n), range(n)))
-    utilities, _ = prices_bellman_ford(gaps, vp)
-    assert (utilities.y.tolist(), utilities.iterations_used) == (
-        reference_bellman_ford(gaps)[0].tolist(), n - 1)
-
-
-def assert_bellman_ford_matches_reference(gaps, vp):
-    expected = reference_bellman_ford(gaps)
-    try:
-        utilities, _ = prices_bellman_ford(gaps, vp)
-    except NonOptimalAllocation as exc:
-        assert (None, exc.sweeps) == expected
-        return
-    assert np.array_equal(utilities.y, expected[0])
-    assert utilities.iterations_used == expected[1]
-
-
-def assert_blocked_methods_match(data, gaps, vp):
-    """Both methods against their references, with blocks of 1..n rows."""
-    n = gaps.n
-    rows = data.draw(st.integers(1, n), label="rows per block")
-    with blocks_of(rows * n):
-        result = assert_efpm_matches_reference(gaps, vp)
-        assert_bellman_ford_matches_reference(gaps, vp)
-    return result
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
 def test_blocked_methods_match_the_dense_loops_on_random_entries(data):
     hi = data.draw(st.sampled_from([3, 10, 10**6]))
     n = data.draw(st.integers(1, 14))
     assert_blocked_methods_match(data, *priced(square(data.draw, st.integers(0, hi), n)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_blocked_methods_match_the_dense_loops_at_the_entry_bound(data):
     n = data.draw(st.integers(1, 8))
     assert_blocked_methods_match(data, *priced(square(data.draw, extreme_entries(n), n)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_blocked_methods_refuse_worst_weight_allocations_at_the_same_sweep(data):
-    n = data.draw(st.integers(2, 6))
+    # The lightest allocation is non-optimal unless every allocation
+    # weighs the same; both methods must refuse it after the
+    # references' sweeps.
+    n = data.draw(st.integers(2, 7))
     entries = data.draw(st.sampled_from(
         [st.integers(0, 3), st.integers(0, 10**6), extreme_entries(n)]))
     values = np.array(square(data.draw, entries, n), dtype=np.int64)
     rows = np.arange(n)
     worst = min(itertools.permutations(range(n)),
                 key=lambda p: int(values[rows, list(p)].sum()))
-    assert_blocked_methods_match(data, *priced(values, list(worst)))
+    assert_blocked_methods_match(data, *priced(values, worst))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_blocked_methods_match_the_dense_loops_on_chains(data):
-    # drop >= 3 * step puts the arc that lifts y[0] below the first
-    # choice's threshold, so the slack bound and a rebuild decide it.
+    # With drop >= 3 * step, the arc that lifts y[0] lies below the
+    # pruning threshold of the first sweeps, so the slack bound and a
+    # rebuild decide it; both methods spend the whole n - 1 budget.
     n = data.draw(st.integers(2, 40))
     step = data.draw(st.sampled_from([1, 7, 1000]))
     drop = 0
@@ -336,8 +231,11 @@ def test_blocked_methods_match_the_dense_loops_on_chains(data):
     values = chain(n, data.draw(st.integers(0, 2**32 - 1)),
                    data.draw(st.permutations(range(n))), data.draw(st.permutations(range(n))),
                    step, drop)
-    _, iterations = assert_blocked_methods_match(data, *priced(values))
-    assert iterations == n - 1
+    expected = [step * (n - 1 - i) for i in range(n)]
+    expected[0] -= drop
+    for y, iterations in assert_blocked_methods_match(data, *priced(values)):
+        assert iterations == n - 1
+        assert sorted(y.tolist()) == sorted(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -385,12 +283,13 @@ def test_chains_fit_the_first_level(n, monkeypatch):
     assert len(weights) == len(tails) == len(segments) == len(rows) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 33, 60])
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_blocked_methods_match_the_dense_loops_on_staircases(data):
-    n = data.draw(st.sampled_from([2, 3, 10, 33]))
-    y, _ = assert_blocked_methods_match(data, *priced(staircase(n), list(range(n))))
-    assert y.tolist() == list(range(n - 1, -1, -1))
+def test_blocked_methods_match_the_dense_loops_on_staircases(n, data):
+    for y, iterations in assert_blocked_methods_match(data, *priced(staircase(n), range(n))):
+        assert iterations == n - 1
+        assert y.tolist() == list(range(n - 1, -1, -1))
 
 
 @pytest.mark.parametrize("n", [40, 400])
